@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
                 "instrument the controllers and export the metrics snapshot "
                 "(.prom/.json/.csv chosen by extension)")
       .describe("trace-out", bench::kTraceOutHelp);
-  args.validate();
+  bench::validate_args(args, "bench_admission_runtime");
   bench::ScopedBenchTracing tracing(args);
   const std::string metrics_out = args.get("metrics-out", "");
   telemetry::MetricsRegistry registry;

@@ -54,7 +54,7 @@ int main(int argc, char** argv) {
       .describe("json",
                 "write BENCH rows as JSON (default BENCH_analysis_perf.json)")
       .describe("trace-out", bench::kTraceOutHelp);
-  args.validate();
+  bench::validate_args(args, "bench_analysis_perf");
   bench::ScopedBenchTracing tracing(args);
   const int reps = static_cast<int>(args.get_long("reps", 20));
   util::ThreadPool pool(

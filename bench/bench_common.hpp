@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <memory>
 #include <stdexcept>
 #include <string>
@@ -41,8 +42,22 @@ inline void print_header(const std::string& title, const std::string& setup) {
   std::printf("\n=== %s ===\n%s\n\n", title.c_str(), setup.c_str());
 }
 
+/// ArgParser::validate() for a bench's main(): an unknown flag prints the
+/// error and the usage to stderr and exits with status 2 instead of
+/// ending in std::terminate.
+inline void validate_args(const util::ArgParser& args,
+                          const std::string& program) {
+  try {
+    args.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "%s: %s\n%s", program.c_str(), e.what(),
+                 args.usage(program).c_str());
+    std::exit(2);
+  }
+}
+
 /// Span tracing for one bench invocation, gated on --trace-out=<file>:
-/// construct after ArgParser::validate(); the Chrome trace-event JSON
+/// construct after validate_args(); the Chrome trace-event JSON
 /// (Perfetto-loadable) is written when the object goes out of scope.
 /// Callers must have described the flag:
 ///   args.describe("trace-out", bench::kTraceOutHelp);

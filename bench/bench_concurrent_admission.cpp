@@ -69,7 +69,7 @@ int main(int argc, char** argv) {
                 "serve /metrics, /healthz and /series on this port while "
                 "the bench runs (0 = ephemeral)")
       .describe("trace-out", bench::kTraceOutHelp);
-  args.validate();
+  bench::validate_args(args, "bench_concurrent_admission");
   bench::ScopedBenchTracing tracing(args);
 
   const bench::VoipScenario scenario;

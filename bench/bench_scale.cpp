@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
       .describe("threads", "candidate-scoring threads (default 0 = hardware)")
       .describe("json", "write BENCH rows as JSON (default BENCH_scale.json)")
       .describe("trace-out", bench::kTraceOutHelp);
-  args.validate();
+  bench::validate_args(args, "bench_scale");
   bench::ScopedBenchTracing tracing(args);
 
   const auto sizes = parse_sizes(args.get("nodes", "10,20,30,40"));

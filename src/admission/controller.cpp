@@ -494,6 +494,16 @@ traffic::RateUnits ConcurrentAdmissionController::limit_units(
   return limit(class_index, server);
 }
 
+std::size_t ConcurrentAdmissionController::held_flow_bound() const {
+  std::size_t bound = 0;
+  for (std::size_t c = 0; c < classes_->size(); ++c) {
+    if (!classes_->at(c).realtime) continue;
+    for (net::ServerId s = 0; s < servers_; ++s)
+      bound += static_cast<std::size_t>(limit(c, s) / rho_units_[c]);
+  }
+  return bound;
+}
+
 BitsPerSecond ConcurrentAdmissionController::peak_reserved_rate(
     net::ServerId server, std::size_t class_index) const {
   if (class_index >= classes_->size() || server >= servers_)

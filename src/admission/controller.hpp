@@ -198,6 +198,12 @@ class ConcurrentAdmissionController {
     return active_.load(std::memory_order_relaxed);
   }
 
+  /// Upper bound on flows the controller can hold at once: the sum over
+  /// servers and real-time classes of limit ÷ ρ. Every held flow takes
+  /// at least one (server, class) slot of ρ, so the bound covers any mix
+  /// of routes. Sizes per-flow tables such as the ArrivalRecorder's.
+  std::size_t held_flow_bound() const;
+
   std::size_t server_count() const { return servers_; }
   const traffic::ClassSet& classes() const { return *classes_; }
 

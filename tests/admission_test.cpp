@@ -69,6 +69,21 @@ TEST(AdmissionController, AdmitsExactlyTheReservedShare) {
   EXPECT_EQ(rejected.blocking_hop, 0u);
 }
 
+TEST(AdmissionController, HeldFlowBoundCoversAnyRouteMix) {
+  Fixture f;
+  AdmissionController ctl(f.graph, f.classes, f.table);
+  // 1000 flows of the real-time class per server; best effort adds none.
+  EXPECT_EQ(ctl.held_flow_bound(), ctl.server_count() * 1000);
+  // One-hop flows fill the first link up to its own 1000, two-hop flows
+  // then find it full: the ledger never holds more than the bound.
+  for (int i = 0; i < 1200; ++i) {
+    ctl.request(0, 1, 0);
+    ctl.request(0, 2, 0);
+  }
+  EXPECT_EQ(ctl.active_flows(), 1000u);
+  EXPECT_LE(ctl.active_flows(), ctl.held_flow_bound());
+}
+
 TEST(AdmissionController, ReleaseRestoresCapacity) {
   Fixture f;
   AdmissionController ctl(f.graph, f.classes, f.table);

@@ -1,7 +1,9 @@
 // Tests for the demand conformance plane, layer by layer:
 //  * ArrivalRecorder — multi-scale window sums on the 2^-10 grid,
 //    slot lifecycle (admit/release/re-admit), bounded-capacity drops,
-//    and round-down granularity.
+//    round-down granularity, no drops at 50 % load, a full table whose
+//    flows all stay reachable, slot reuse and generation wrap without
+//    leaked windows, and an exact flow_count() after concurrent churn.
 //  * ConformanceMonitor — the estimator's one-sided guarantee: traffic
 //    that satisfies the declared A[s,t] <= T + rho*(t-s) exactly is
 //    never flagged, while factor-scaled offenders are flagged precisely,
@@ -24,6 +26,7 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <random>
 #include <set>
 #include <string>
 #include <thread>
@@ -145,6 +148,157 @@ TEST(Envelope, RegistrationLimitsAndGranularity) {
   ASSERT_EQ(out.size(), 1u);
   EXPECT_DOUBLE_EQ(out[0].total_bits, std::floor(1.3 * 1024.0) / 1024.0);
   EXPECT_LE(out[0].total_bits, 1.3);
+}
+
+// A table held at 50 % load under admit/release churn leaves no
+// registration behind: a flow is dropped only when every slot is taken.
+TEST(Envelope, HalfLoadChurnDropsNoRegistrations) {
+  ArrivalRecorder::Options options;
+  options.capacity = 4096;
+  ArrivalRecorder recorder(options);
+  std::mt19937_64 rng(12);
+  std::vector<traffic::FlowId> held;
+  traffic::FlowId next = 0;
+  for (; held.size() < options.capacity / 2; ++next) {
+    recorder.on_admit(next, 0);
+    held.push_back(next);
+  }
+  for (int i = 0; i < 200'000; ++i) {
+    const std::size_t victim = rng() % held.size();
+    recorder.on_release(held[victim]);
+    recorder.on_admit(next, 0);
+    held[victim] = next++;
+  }
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.flow_count(), held.size());
+}
+
+// Filled to the last slot, every flow stays reachable through the spill
+// chains, and releasing them all leaves a table that fills again.
+TEST(Envelope, FullTableKeepsEveryFlowReachable) {
+  ArrivalRecorder::Options options;
+  options.capacity = 64;
+  ArrivalRecorder recorder(options);
+  for (std::uint64_t round = 0; round < 2; ++round) {
+    const traffic::FlowId base = 1000 * round;
+    for (traffic::FlowId id = base; id < base + 64; ++id)
+      recorder.on_admit(id, 0);
+    EXPECT_EQ(recorder.dropped_registrations(), round);
+    EXPECT_EQ(recorder.flow_count(), 64u);
+    recorder.on_admit(base + 64, 0);
+    EXPECT_EQ(recorder.dropped_registrations(), round + 1);
+    for (traffic::FlowId id = base; id < base + 64; ++id)
+      recorder.record(id, 1.0, kNsPerSec);
+    EXPECT_EQ(recorder.dropped_records(), 0u);
+    for (traffic::FlowId id = base; id < base + 64; ++id)
+      recorder.on_release(id);
+    EXPECT_EQ(recorder.flow_count(), 0u);
+  }
+}
+
+namespace {
+
+/// The windows `collect(t_ns)` reports for `id`; fails the test if absent.
+ArrivalRecorder::FlowWindows windows_of(const ArrivalRecorder& recorder,
+                                        traffic::FlowId id,
+                                        std::int64_t t_ns) {
+  std::vector<ArrivalRecorder::FlowWindows> out;
+  recorder.collect(t_ns, out);
+  for (const auto& fw : out)
+    if (fw.flow_id == id) return fw;
+  ADD_FAILURE() << "flow " << id << " not collected";
+  return {};
+}
+
+void expect_fresh(const ArrivalRecorder::FlowWindows& fw) {
+  EXPECT_EQ(fw.total_bits, 0.0);
+  EXPECT_EQ(fw.registered_ns, 0);
+  for (const double bits : fw.window_bits) EXPECT_EQ(bits, 0.0);
+}
+
+}  // namespace
+
+// A 2-slot table with one slot pinned by a filler flow: every other admit
+// lands in the same slot, so B takes over exactly the slot A recorded in.
+TEST(Envelope, SlotReuseDoesNotLeakOldWindows) {
+  ArrivalRecorder::Options options;
+  options.capacity = 2;
+  ArrivalRecorder recorder(options);
+  const std::int64_t t = 5 * kNsPerSec;
+  recorder.on_admit(1, 0);  // filler
+  recorder.on_admit(2, 1);  // A
+  recorder.record(2, 4096.0, t);
+  EXPECT_EQ(windows_of(recorder, 2, t).window_bits[0], 4096.0);
+  recorder.on_release(2);
+  recorder.on_admit(3, 0);  // B
+  ASSERT_EQ(recorder.flow_count(), 2u);
+  const auto b = windows_of(recorder, 3, t);
+  EXPECT_EQ(b.class_index, 0u);
+  expect_fresh(b);
+  // B's own arrivals start from zero, not on top of A's.
+  recorder.record(3, 64.0, t);
+  EXPECT_EQ(windows_of(recorder, 3, t).window_bits[3], 64.0);
+}
+
+// Recycle the shared slot of the same 2-slot table through every value of
+// the generation field and past its wrap: no generation ever brings A's
+// windows back.
+TEST(Envelope, GenerationWrapDoesNotLeakOldWindows) {
+  ArrivalRecorder::Options options;
+  options.capacity = 2;
+  ArrivalRecorder recorder(options);
+  const std::int64_t t = 5 * kNsPerSec;
+  recorder.on_admit(1, 0);  // filler
+  recorder.on_admit(2, 0);  // A
+  recorder.record(2, 4096.0, t);
+  recorder.on_release(2);
+  constexpr traffic::FlowId kCycles =
+      (traffic::FlowId{1} << ArrivalRecorder::kGenerationBits) + 2;
+  std::size_t leaks = 0;
+  for (traffic::FlowId id = 3; id < 3 + kCycles; ++id) {
+    recorder.on_admit(id, 0);
+    const auto fw = windows_of(recorder, id, t);
+    for (const double bits : fw.window_bits) leaks += bits != 0.0;
+    leaks += fw.total_bits != 0.0;
+    recorder.on_release(id);
+  }
+  EXPECT_EQ(leaks, 0u);
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  recorder.on_admit(7, 0);
+  expect_fresh(windows_of(recorder, 7, t));
+}
+
+// flow_count() scans the key index instead of keeping a shared counter;
+// once 8 churning threads have joined it is exact.
+TEST(Envelope, FlowCountExactAfterConcurrentChurn) {
+  constexpr std::size_t kThreads = 8;
+  constexpr traffic::FlowId kIdsPerThread = 64;
+  ArrivalRecorder::Options options;
+  options.capacity = 4096;
+  ArrivalRecorder recorder(options);
+  std::vector<std::size_t> held(kThreads, 0);
+  std::vector<std::thread> threads;
+  for (std::size_t w = 0; w < kThreads; ++w)
+    threads.emplace_back([&recorder, &held, w] {
+      std::mt19937_64 rng(w + 1);
+      std::vector<bool> live(kIdsPerThread, false);
+      const traffic::FlowId base = w * kIdsPerThread;
+      for (int i = 0; i < 20'000; ++i) {
+        const traffic::FlowId k = rng() % kIdsPerThread;
+        if (live[k])
+          recorder.on_release(base + k);
+        else
+          recorder.on_admit(base + k, 0);
+        live[k] = !live[k];
+      }
+      held[w] = static_cast<std::size_t>(
+          std::count(live.begin(), live.end(), true));
+    });
+  for (auto& thread : threads) thread.join();
+  std::size_t expected = 0;
+  for (const std::size_t n : held) expected += n;
+  EXPECT_EQ(recorder.dropped_registrations(), 0u);
+  EXPECT_EQ(recorder.flow_count(), expected);
 }
 
 // ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 // telemetry PR depends on — that log_line emits each record with one
 // stdio write, so records from concurrent threads never interleave.
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <cstdio>
 #include <fstream>
@@ -16,10 +17,12 @@
 namespace ubac::util {
 namespace {
 
-/// Redirect the log sink to a temp file for the test's duration.
+/// Redirect the log sink to a temp file for the test's duration. The file
+/// is named after the running test and the process, so tests run in
+/// parallel (ctest -j) never share one.
 class SinkCapture {
  public:
-  SinkCapture() : path_(::testing::TempDir() + "/ubac_log_test.txt") {
+  SinkCapture() : path_(unique_path()) {
     file_ = std::fopen(path_.c_str(), "w");
     set_log_sink(file_);
   }
@@ -27,6 +30,13 @@ class SinkCapture {
     set_log_sink(nullptr);  // restore stderr
     std::fclose(file_);
     std::remove(path_.c_str());
+  }
+
+  static std::string unique_path() {
+    const auto* info =
+        ::testing::UnitTest::GetInstance()->current_test_info();
+    return ::testing::TempDir() + "/ubac_log_test." + info->test_suite_name() +
+           "." + info->name() + "." + std::to_string(::getpid()) + ".txt";
   }
 
   std::vector<std::string> lines() const {

@@ -49,6 +49,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <bit>
 #include <chrono>
 #include <csignal>
 #include <cstdio>
@@ -513,8 +514,10 @@ int cmd_serve(const util::ArgParser& args) {
   std::unique_ptr<telemetry::ArrivalRecorder> recorder;
   std::unique_ptr<telemetry::ConformanceMonitor> monitor;
   if (conformance_on) {
+    // 1.5x the most flows the ledger can hold keeps every lookup about
+    // one key line long; idle slots cost ~32 B of resident memory.
     telemetry::ArrivalRecorder::Options recorder_options;
-    recorder_options.capacity = 8192;
+    recorder_options.capacity = std::bit_ceil(ctl.held_flow_bound() * 3 / 2);
     recorder =
         std::make_unique<telemetry::ArrivalRecorder>(recorder_options);
     telemetry::ConformanceMonitor::Options monitor_options;
