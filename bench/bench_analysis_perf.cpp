@@ -1,9 +1,9 @@
 // Performance microbenchmarks for the configuration machinery itself: the
 // fixed-point verification, the Section 5.2 heuristic, k-shortest-path
 // candidate generation, and the incremental AnalysisEngine probe path
-// against its cold-solve oracle. Configuration is offline in the paper,
-// but it must stay tractable for realistic ISP backbones — these benches
-// track that.
+// against its cold-solve oracles (one and two real-time classes).
+// Configuration is offline in the paper, but it must stay tractable for
+// realistic ISP backbones — these benches track that.
 //
 // Plain harness (no google-benchmark) so the rows come out in the stable
 // `BENCH <name> key=value ...` format shared by the other benches.
@@ -20,6 +20,7 @@
 
 #include "analysis/engine.hpp"
 #include "analysis/fixed_point.hpp"
+#include "analysis/multiclass.hpp"
 #include "bench_common.hpp"
 #include "net/ksp.hpp"
 #include "net/shortest_path.hpp"
@@ -158,6 +159,46 @@ int main(int argc, char** argv) {
     bench::BenchSummary summary("analysis_perf");
     summary.set("case", "engine_probe_vs_cold")
         .set("routes", static_cast<std::uint64_t>(all.size()))
+        .set("probe_min_ms", warm_ms, 4)
+        .set("cold_min_ms", cold_ms, 4)
+        .set("speedup", warm_ms > 0.0 ? cold_ms / warm_ms : 0.0, 1);
+    report(std::move(summary));
+  }
+
+  // The same probe-vs-cold comparison on two real-time classes: voice and
+  // video (T = 16 kb, rho = 1 Mb/s, D = 200 ms) at 0.1 each, alternating
+  // over the SP routes. The probe runs the same frontier iteration as the
+  // one-class row; the oracle is the cold Theorem 5 solver.
+  {
+    traffic::ClassSet classes;
+    classes.add(traffic::ServiceClass("voice", scenario.bucket,
+                                      scenario.deadline, 0.1));
+    classes.add(traffic::ServiceClass(
+        "video", traffic::LeakyBucket(16000.0, units::mbps(1)),
+        units::milliseconds(200), 0.1));
+    std::vector<traffic::Demand> mc_demands = demands;
+    for (std::size_t i = 0; i < mc_demands.size(); ++i)
+      mc_demands[i].class_index = i % 2;
+    const std::size_t last = sp_routes.size() - 1;
+    analysis::AnalysisEngine engine(graph, classes);
+    for (std::size_t i = 0; i < last; ++i)
+      engine.add_route(sp_routes[i], mc_demands[i].class_index);
+    engine.solve();
+
+    analysis::FeasibilityStatus status{};
+    const double warm_ms = time_min_ms(reps * 10, [&] {
+      status = engine.probe_route(sp_routes[last],
+                                  mc_demands[last].class_index)
+                   .status;
+    });
+    const double cold_ms = time_min_ms(reps, [&] {
+      (void)analysis::solve_multiclass(graph, classes, mc_demands, sp_routes);
+    });
+    bench::BenchSummary summary("analysis_perf");
+    summary.set("case", "multiclass_probe_vs_cold")
+        .set("routes", static_cast<std::uint64_t>(sp_routes.size()))
+        .set("classes", std::uint64_t{2})
+        .set("status", analysis::to_string(status))
         .set("probe_min_ms", warm_ms, 4)
         .set("cold_min_ms", cold_ms, 4)
         .set("speedup", warm_ms > 0.0 ? cold_ms / warm_ms : 0.0, 1);

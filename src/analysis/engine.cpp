@@ -3,8 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <stdexcept>
+#include <string>
 
-#include "analysis/delay_bound.hpp"
 #include "telemetry/metrics.hpp"
 #include "telemetry/span.hpp"
 #include "util/thread_pool.hpp"
@@ -26,11 +26,11 @@ struct Closure {
   std::vector<EngineRouteId> routes;  ///< active routes touching the closure
 };
 
-template <typename RoutePath>
+template <typename PathOf>
 void build_closure(std::size_t servers, std::size_t route_capacity,
                    const std::vector<net::ServerId>& seeds,
                    const std::vector<std::vector<EngineRouteId>>& by_server,
-                   const RoutePath& route_path, Closure& out) {
+                   const PathOf& path_of, Closure& out) {
   out.in.assign(servers, 0);
   out.list.clear();
   out.routes.clear();
@@ -38,19 +38,15 @@ void build_closure(std::size_t servers, std::size_t route_capacity,
   std::vector<char> touched(route_capacity, 0);
   std::vector<EngineRouteId> route_queue;
 
-  auto push_routes = [&](net::ServerId s) {
-    for (const EngineRouteId rid : by_server[s]) {
-      if (!queued[rid] && route_path(rid) != nullptr) {
-        queued[rid] = 1;
-        route_queue.push_back(rid);
-      }
-    }
-  };
   auto mark = [&](net::ServerId s) {
     if (out.in[s]) return;
     out.in[s] = 1;
     out.list.push_back(s);
-    push_routes(s);
+    for (const EngineRouteId rid : by_server[s])
+      if (!queued[rid]) {
+        queued[rid] = 1;
+        route_queue.push_back(rid);
+      }
   };
   for (const net::ServerId s : seeds) mark(s);
 
@@ -58,10 +54,8 @@ void build_closure(std::size_t servers, std::size_t route_capacity,
     const EngineRouteId rid = route_queue.back();
     route_queue.pop_back();
     queued[rid] = 0;
-    const net::ServerPath* path = route_path(rid);
-    if (!path) continue;
     bool dirty_prefix = false;
-    for (const net::ServerId u : *path) {
+    for (const net::ServerId u : path_of(rid)) {
       if (out.in[u]) {
         dirty_prefix = true;
       } else if (dirty_prefix) {
@@ -75,54 +69,25 @@ void build_closure(std::size_t servers, std::size_t route_capacity,
   }
 }
 
-/// One restricted fixed-point pass: iterate only the closure servers,
-/// walking only `paths` (the routes intersecting the closure), with every
-/// other delay held fixed in `d`. Semantics match solve_two_class: early
-/// sound deadline-violation exit, convergence on max delay change, final
-/// route-sum check. `update` computes a server's next delay from its
-/// upstream accumulation.
-template <typename Update, typename RouteDeadline>
-FeasibilityStatus iterate_restricted(
-    const Closure& cl, const std::vector<const net::ServerPath*>& paths,
-    const RouteDeadline& deadline_of, const Update& update,
-    std::vector<Seconds>& d, std::vector<Seconds>& route_delay,
-    std::vector<Seconds>& upstream, int max_iterations, Seconds tolerance,
-    int& iterations_out) {
-  route_delay.assign(paths.size(), 0.0);
-  for (int iter = 1; iter <= max_iterations; ++iter) {
-    iterations_out = iter;
-    for (const net::ServerId s : cl.list) upstream[s] = 0.0;
-    bool violated = false;
-    for (std::size_t r = 0; r < paths.size(); ++r) {
-      Seconds prefix = 0.0;
-      for (const net::ServerId u : *paths[r]) {
-        if (cl.in[u]) upstream[u] = std::max(upstream[u], prefix);
-        prefix += d[u];
-      }
-      route_delay[r] = prefix;
-      if (prefix > deadline_of(r)) violated = true;
-    }
-    if (violated) return FeasibilityStatus::kDeadlineViolated;
+/// One route to walk: its servers and class.
+struct RouteWalk {
+  const net::ServerId* first;
+  const net::ServerId* last;
+  std::size_t class_index;
+};
 
-    Seconds max_change = 0.0;
-    for (const net::ServerId s : cl.list) {
-      const Seconds next = update(s, upstream[s]);
-      max_change = std::max(max_change, std::abs(next - d[s]));
-      d[s] = next;
-    }
-    if (max_change < tolerance) {
-      bool ok = true;
-      for (std::size_t r = 0; r < paths.size(); ++r) {
-        Seconds total = 0.0;
-        for (const net::ServerId u : *paths[r]) total += d[u];
-        route_delay[r] = total;
-        ok = ok && total <= deadline_of(r);
-      }
-      return ok ? FeasibilityStatus::kSafe
-                : FeasibilityStatus::kDeadlineViolated;
-    }
-  }
-  return FeasibilityStatus::kNoConvergence;
+/// Reusable scratch for run_frontier (per thread: probes run concurrently).
+struct FrontierScratch {
+  std::vector<char> active, in_route, changed, on_extra;
+  std::vector<net::ServerId> alist, changed_list;
+  std::vector<EngineRouteId> rlist;
+  std::vector<RouteWalk> walks;  ///< aligned with rlist
+  std::vector<Seconds> upstream, accum;
+};
+
+void check_alpha(double alpha) {
+  if (!(alpha > 0.0) || alpha > 1.0)
+    throw std::invalid_argument("alpha must be in (0, 1]");
 }
 
 }  // namespace
@@ -148,50 +113,216 @@ EngineTelemetry EngineTelemetry::resolve(telemetry::MetricsRegistry& registry) {
 }
 
 // ---------------------------------------------------------------------------
-// AnalysisEngine (two-class)
+// Construction and class coefficients
 // ---------------------------------------------------------------------------
 
-namespace {
+AnalysisEngine::AnalysisEngine(const net::ServerGraph& graph, double alpha,
+                               traffic::LeakyBucket bucket, Seconds deadline,
+                               const FixedPointOptions& options)
+    : AnalysisEngine(graph, [&] {
+        if (deadline <= 0.0)
+          throw std::invalid_argument("AnalysisEngine: deadline must be > 0");
+        check_alpha(alpha);
+        return std::vector<ClassTerms>{
+            {bucket.burst / bucket.rate, deadline, alpha, true, {}}};
+      }(), options) {}
 
-/// Reusable scratch for run_frontier (per thread: probes run concurrently).
-struct FrontierScratch {
-  std::vector<char> active, in_route, changed, on_extra;
-  std::vector<net::ServerId> alist, changed_list;
-  std::vector<EngineRouteId> rlist;
-  std::vector<Seconds> upstream, accum, sums;
-};
+AnalysisEngine::AnalysisEngine(const net::ServerGraph& graph,
+                               const traffic::ClassSet& classes,
+                               const FixedPointOptions& options)
+    : AnalysisEngine(graph, [&] {
+        std::vector<ClassTerms> terms;
+        for (std::size_t i = 0; i < classes.size(); ++i) {
+          const traffic::ServiceClass& c = classes.at(i);
+          terms.push_back({c.bucket.burst / c.bucket.rate, c.deadline,
+                           c.share, c.realtime, {}});
+        }
+        return terms;
+      }(), options) {}
 
-}  // namespace
+AnalysisEngine::AnalysisEngine(const net::ServerGraph& graph,
+                               std::vector<ClassTerms> classes,
+                               const FixedPointOptions& options)
+    : graph_(&graph),
+      options_(options),
+      servers_(graph.size()),
+      classes_(std::move(classes)) {
+  const auto first_rt = std::find_if(classes_.begin(), classes_.end(),
+                                     [](const ClassTerms& c) { return c.realtime; });
+  if (first_rt == classes_.end())
+    throw std::invalid_argument("AnalysisEngine: no real-time class");
+  alpha_class_ = static_cast<std::size_t>(first_rt - classes_.begin());
+  routes_by_server_.resize(servers_);
+  used_count_.assign(classes_.size() * servers_, 0);
+  delay_.assign(classes_.size() * servers_, 0.0);
+  pending_dirty_.assign(servers_, 0);
+  set_coefficients();
+  if (options_.metrics) telemetry_ = EngineTelemetry::resolve(*options_.metrics);
+}
+
+void AnalysisEngine::set_coefficients() {
+  // Theorem 5 rearranged per class i with B_i = sum_{l<i} a_l and
+  // C_i = B_i + a_i (real-time classes only):
+  //   d_i = sum_{l<i} a_l/(1-B_i) (T_l/r_l + Y_l)
+  //       + a_i((N-1) + (C_i-a_i)) / ((N-a_i)(1-B_i)) (T_i/r_i + Y_i).
+  // With one real-time class C_i - a_i and B_i are exactly 0, so the own
+  // coefficient is computed as a(N-1)/(N-a) — bit for bit beta(a, N).
+  own_.assign(classes_.size() * servers_, 0.0);
+  double below = 0.0;
+  for (std::size_t i = 0; i < classes_.size(); ++i) {
+    ClassTerms& c = classes_[i];
+    if (!c.realtime) continue;
+    const double through = below + c.share;
+    c.higher.clear();
+    for (std::size_t l = 0; l < i; ++l)
+      if (classes_[l].realtime)
+        c.higher.emplace_back(l, classes_[l].share / (1.0 - below));
+    for (net::ServerId s = 0; s < servers_; ++s) {
+      const double n = graph_->server(s).fan_in;
+      own_[i * servers_ + s] = c.share * ((n - 1.0) + (through - c.share)) /
+                               ((n - c.share) * (1.0 - below));
+    }
+    below = through;
+  }
+}
+
+Seconds AnalysisEngine::delay_at(std::size_t i, net::ServerId s,
+                                 const Seconds* upstream) const {
+  const ClassTerms& c = classes_[i];
+  Seconds d = own_[i * servers_ + s] * (c.base + upstream[i * servers_ + s]);
+  for (const auto& [l, x] : c.higher)
+    d += x * (classes_[l].base + upstream[l * servers_ + s]);
+  return d;
+}
+
+void AnalysisEngine::check_class(std::size_t class_index) const {
+  if (class_index >= classes_.size() || !classes_[class_index].realtime)
+    throw std::invalid_argument("AnalysisEngine: route class must be realtime");
+}
+
+void AnalysisEngine::require_single_realtime(const char* what) const {
+  const auto realtime = std::count_if(
+      classes_.begin(), classes_.end(),
+      [](const ClassTerms& c) { return c.realtime; });
+  if (realtime != 1)
+    throw std::logic_error(std::string(what) +
+                           ": engine has several real-time classes");
+}
+
+// ---------------------------------------------------------------------------
+// Scenario mutation
+// ---------------------------------------------------------------------------
+
+void AnalysisEngine::mark_dirty(net::ServerId s) {
+  if (!pending_dirty_[s]) {
+    pending_dirty_[s] = 1;
+    pending_list_.push_back(s);
+  }
+  solution_fresh_ = false;
+}
+
+EngineRouteId AnalysisEngine::insert_route(const net::ServerPath& route,
+                                           std::size_t class_index,
+                                           Seconds delay) {
+  RouteEntry entry{route, class_index, delay, true};
+  EngineRouteId id;
+  if (!free_ids_.empty()) {
+    id = free_ids_.back();
+    free_ids_.pop_back();
+    routes_[id] = std::move(entry);
+  } else {
+    id = routes_.size();
+    routes_.push_back(std::move(entry));
+  }
+  for (const net::ServerId s : route) {
+    routes_by_server_[s].push_back(id);
+    ++used_count_[class_index * servers_ + s];
+  }
+  ++active_routes_;
+  return id;
+}
+
+EngineRouteId AnalysisEngine::add_route(const net::ServerPath& route,
+                                        std::size_t class_index) {
+  check_class(class_index);
+  for (const net::ServerId s : route)
+    if (s >= servers_)
+      throw std::out_of_range("add_route: route references bad server");
+  const EngineRouteId id = insert_route(route, class_index, 0.0);
+  for (const net::ServerId s : route) mark_dirty(s);
+  return id;
+}
+
+void AnalysisEngine::remove_route(EngineRouteId id) {
+  if (id >= routes_.size() || !routes_[id].active)
+    throw std::invalid_argument("remove_route: unknown route id");
+  RouteEntry& entry = routes_[id];
+  entry.active = false;
+  for (const net::ServerId s : entry.servers) {
+    std::erase(routes_by_server_[s], id);
+    --used_count_[entry.class_index * servers_ + s];
+    mark_dirty(s);
+  }
+  --active_routes_;
+  free_ids_.push_back(id);
+  // Delays may only decrease; warm starts are sound upward only, so the
+  // dirty closure restarts from zero.
+  pending_cold_ = true;
+}
+
+void AnalysisEngine::set_alpha(double alpha) {
+  check_alpha(alpha);
+  require_single_realtime("set_alpha");
+  ClassTerms& rt = classes_[alpha_class_];
+  if (alpha == rt.share) return;
+  const bool decrease = alpha < rt.share;
+  rt.share = alpha;
+  set_coefficients();
+  const std::size_t row = alpha_class_ * servers_;
+  for (net::ServerId s = 0; s < servers_; ++s)
+    if (used_count_[row + s] > 0 || delay_[row + s] != 0.0) mark_dirty(s);
+  if (decrease) pending_cold_ = true;
+  solution_fresh_ = false;
+}
+
+// ---------------------------------------------------------------------------
+// Solving
+// ---------------------------------------------------------------------------
 
 FeasibilityStatus AnalysisEngine::run_frontier(
     const std::vector<net::ServerId>& seeds, const net::ServerPath* extra,
-    std::vector<Seconds>& d, std::vector<EngineRouteId>& touched,
-    std::vector<Seconds>& touched_delay, Seconds& extra_delay,
-    int& iterations, std::size_t& active_count) const {
+    std::size_t extra_class, std::vector<Seconds>& d,
+    std::vector<EngineRouteId>& touched, std::vector<Seconds>& touched_delay,
+    Seconds& extra_delay, int& iterations, std::size_t& active_count) const {
   // The static reachability closure over-approximates badly on dense
   // route sets (it degenerates to the whole system). This loop instead
   // grows the re-iterated region on demand: a server joins only once the
   // accumulated change of some server upstream of it exceeds the
-  // tolerance. Because beta < 1 attenuates every hop, changes decay
-  // geometrically and the active region stays near the seeds. Soundness
-  // is unchanged — any schedule of monotone updates from a lower bound
-  // stays below the least fixed point — and unpropagated drift is capped
-  // at the tolerance per server, the same slack the full sweep's stopping
-  // rule already accepts.
-  const std::size_t servers = graph_->size();
-  const Seconds base = bucket_.burst / bucket_.rate;
+  // tolerance. Because every hop attenuates (the loop gain is < 1 at a
+  // fixed point), changes decay geometrically and the active region stays
+  // near the seeds. Soundness is unchanged — any schedule of monotone
+  // updates from a lower bound stays below the least fixed point — and
+  // unpropagated drift is capped at the tolerance per server, the same
+  // slack the full sweep's stopping rule already accepts. Every Theorem 5
+  // coefficient is >= 0, so Z is monotone in each class's Y and the
+  // argument holds for any number of classes; activity is tracked per
+  // server, covering all classes there.
+  const std::size_t classes = classes_.size();
 
   static thread_local FrontierScratch sc;
-  sc.active.assign(servers, 0);
-  sc.on_extra.assign(servers, 0);
-  sc.changed.assign(servers, 0);
+  sc.active.assign(servers_, 0);
+  sc.on_extra.assign(servers_, 0);
+  sc.changed.assign(servers_, 0);
   sc.in_route.assign(routes_.size(), 0);
-  sc.upstream.assign(servers, 0.0);
-  sc.accum.assign(servers, 0.0);
+  sc.upstream.assign(classes * servers_, 0.0);
+  sc.accum.assign(servers_, 0.0);
   sc.alist.clear();
-  sc.changed_list.clear();
+  // Each server crosses the threshold at most once per run, so the list
+  // never outgrows servers_; a plain counter keeps calls out of `raise`.
+  sc.changed_list.resize(servers_);
+  std::size_t changed_count = 0;
   sc.rlist.clear();
-  sc.sums.clear();
+  sc.walks.clear();
 
   auto activate = [&](net::ServerId s) {
     if (sc.active[s]) return;
@@ -202,6 +333,10 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       if (!sc.in_route[rid]) {
         sc.in_route[rid] = 1;
         sc.rlist.push_back(rid);
+        const RouteEntry& entry = routes_[rid];
+        sc.walks.push_back({entry.servers.data(),
+                            entry.servers.data() + entry.servers.size(),
+                            entry.class_index});
       }
   };
   for (const net::ServerId s : seeds) activate(s);
@@ -214,95 +349,121 @@ FeasibilityStatus AnalysisEngine::run_frontier(
   // Gauss-Seidel-style sweeps. The warm iteration is monotone
   // non-decreasing (the committed delays satisfy d = Z_old(d) <= Z_new(d)),
   // so prefix sums and upstream maxima only grow: `upstream` is kept as a
-  // running max across sweeps, and a server's delay is raised *during* the
-  // route walk as soon as a larger prefix reaches it. Later routes in the
-  // same sweep see the raised value, so changes propagate many hops per
-  // sweep instead of one. Every in-walk update applies Z with
+  // running max across sweeps, and a server's delays are raised *during*
+  // the route walk as soon as a larger prefix reaches it. Later routes in
+  // the same sweep see the raised values, so changes propagate many hops
+  // per sweep instead of one. Every in-walk update applies Z with
   // underestimated inputs, so all iterates stay below the least fixed
   // point — the soundness argument is unchanged.
-  Seconds extra_sum = 0.0;
-  auto relax = [&](net::ServerId u, Seconds prefix, Seconds& max_change) {
-    // >= rather than >: equal prefixes must still re-apply Z so that a
-    // server whose own beta or usage changed (alpha raise, first route)
-    // gets updated even when its max prefix does not move.
-    if (prefix >= sc.upstream[u]) {
-      sc.upstream[u] = prefix;
-      if (used_count_[u] > 0 || sc.on_extra[u]) {
-        const Seconds next = beta_[u] * (base + prefix);
-        if (next > d[u]) {
-          const Seconds delta = next - d[u];
-          d[u] = next;
-          max_change = std::max(max_change, delta);
-          // Expansion is monotone — once a server has triggered it, its
-          // downstream is active for good, so it never re-triggers.
-          if (!sc.changed[u]) {
-            sc.accum[u] += delta;
-            if (sc.accum[u] > options_.tolerance) {
-              sc.changed[u] = 1;
-              sc.changed_list.push_back(u);
-            }
-          }
-        }
+  //
+  // A hop applies only its own class's term: the whole bound for the
+  // first real-time class, a lower bound for the others. After the walks
+  // every class with higher-priority terms is raised to its full bound at
+  // every active server, so the stopping rule covers all classes while the
+  // hop stays as tight as the one-class sweep (no class loop, no call).
+  //
+  // Raw views: locals that the char stores below cannot alias, so the
+  // sweep keeps them in registers.
+  Seconds* const dv = d.data();
+  Seconds* const upv = sc.upstream.data();
+  const std::uint32_t* const used = used_count_.data();
+  const double* const own = own_.data();
+  const ClassTerms* const cls = classes_.data();
+  std::vector<std::size_t> lower_classes;
+  for (std::size_t i = 0; i < classes; ++i)
+    if (!cls[i].higher.empty()) lower_classes.push_back(i);
+  // Raise d[k] (flat index of some class at server u) to `next` if larger.
+  auto raise = [&](std::size_t k, net::ServerId u, Seconds next,
+                   Seconds& max_change) {
+    if (next <= dv[k]) return;
+    const Seconds delta = next - dv[k];
+    dv[k] = next;
+    max_change = std::max(max_change, delta);
+    // Expansion is monotone — once a server has triggered it, its
+    // downstream is active for good, so it never re-triggers.
+    if (!sc.changed[u]) {
+      sc.accum[u] += delta;
+      if (sc.accum[u] > options_.tolerance) {
+        sc.changed[u] = 1;
+        sc.changed_list[changed_count++] = u;
       }
     }
   };
+  auto relax = [&](Seconds base, bool extra_class_walk, std::size_t k,
+                   net::ServerId u, Seconds prefix, Seconds& max_change) {
+    // >= rather than >: equal prefixes must still re-apply Z so that a
+    // server whose own coefficients or usage changed (alpha raise, first
+    // route) gets updated even when its max prefix does not move.
+    if (prefix < upv[k]) return;
+    upv[k] = prefix;
+    if (used[k] == 0 && !(extra_class_walk && sc.on_extra[u])) return;
+    raise(k, u, own[k] * (base + prefix), max_change);
+  };
+  // The candidate, if any, is walked after the committed routes.
+  const RouteWalk extra_walk =
+      extra != nullptr
+          ? RouteWalk{extra->data(), extra->data() + extra->size(),
+                         extra_class}
+          : RouteWalk{nullptr, nullptr, extra_class};
   for (int iter = 1; iter <= options_.max_iterations; ++iter) {
     iterations = iter;
     bool violated = false;
     Seconds max_change = 0.0;
-    sc.changed_list.clear();
-    sc.sums.resize(sc.rlist.size());
-    for (std::size_t idx = 0; idx < sc.rlist.size(); ++idx) {
+    changed_count = 0;
+    const std::size_t committed = sc.walks.size();
+    const std::size_t walks = committed + (extra != nullptr ? 1 : 0);
+    for (std::size_t idx = 0; idx < walks; ++idx) {
+      const RouteWalk& w = idx < committed ? sc.walks[idx] : extra_walk;
+      const std::size_t row = w.class_index * servers_;
+      const Seconds base = cls[w.class_index].base;
+      const bool extra_class_walk = w.class_index == extra_class;
       Seconds prefix = 0.0;
-      for (const net::ServerId u : routes_[sc.rlist[idx]].servers) {
-        if (sc.active[u]) relax(u, prefix, max_change);
-        prefix += d[u];
+      for (const net::ServerId* p = w.first; p != w.last; ++p) {
+        const net::ServerId u = *p;
+        if (sc.active[u])
+          relax(base, extra_class_walk, row + u, u, prefix, max_change);
+        prefix += dv[row + u];
       }
-      sc.sums[idx] = prefix;
-      if (prefix > deadline_) violated = true;
+      if (idx == committed) extra_delay = prefix;
+      if (prefix > cls[w.class_index].deadline) violated = true;
     }
-    if (extra != nullptr) {
-      Seconds prefix = 0.0;
-      for (const net::ServerId u : *extra) {
-        if (sc.active[u]) relax(u, prefix, max_change);
-        prefix += d[u];
+    // Full Theorem 5 bounds for the classes whose hops left out the
+    // higher-class terms.
+    for (const std::size_t i : lower_classes)
+      for (const net::ServerId u : sc.alist) {
+        const std::size_t k = i * servers_ + u;
+        if (used[k] > 0 || (i == extra_class && sc.on_extra[u]))
+          raise(k, u, delay_at(i, u, upv), max_change);
       }
-      extra_sum = prefix;
-      if (prefix > deadline_) violated = true;
-    }
-    if (violated) {
-      extra_delay = extra_sum;
-      active_count = sc.alist.size();
-      return FeasibilityStatus::kDeadlineViolated;
-    }
+    active_count = sc.alist.size();
+    if (violated) return FeasibilityStatus::kDeadlineViolated;
 
     if (max_change < options_.tolerance) {
       bool ok = true;
       touched.clear();
       touched_delay.clear();
-      for (std::size_t idx = 0; idx < sc.rlist.size(); ++idx) {
-        Seconds total = 0.0;
-        for (const net::ServerId u : routes_[sc.rlist[idx]].servers)
-          total += d[u];
-        touched.push_back(sc.rlist[idx]);
-        touched_delay.push_back(total);
-        ok = ok && total <= deadline_;
+      for (std::size_t idx = 0; idx < walks; ++idx) {
+        const RouteWalk& w = idx < committed ? sc.walks[idx] : extra_walk;
+        const std::size_t row = w.class_index * servers_;
+        Seconds sum = 0.0;
+        for (const net::ServerId* p = w.first; p != w.last; ++p)
+          sum += dv[row + *p];
+        if (idx < committed) {
+          touched.push_back(sc.rlist[idx]);
+          touched_delay.push_back(sum);
+        } else {
+          extra_delay = sum;
+        }
+        ok = ok && sum <= cls[w.class_index].deadline;
       }
-      if (extra != nullptr) {
-        Seconds total = 0.0;
-        for (const net::ServerId u : *extra) total += d[u];
-        extra_sum = total;
-        ok = ok && total <= deadline_;
-      }
-      extra_delay = extra_sum;
-      active_count = sc.alist.size();
       return ok ? FeasibilityStatus::kSafe
                 : FeasibilityStatus::kDeadlineViolated;
     }
 
     // Expansion: servers strictly downstream of a changed server join the
     // active set before the next sweep (their Y can now move).
-    for (const net::ServerId s : sc.changed_list) {
+    for (std::size_t n = 0; n < changed_count; ++n) {
+      const net::ServerId s = sc.changed_list[n];
       for (const EngineRouteId rid : routes_by_server_[s]) {
         bool dirty = false;
         for (const net::ServerId u : routes_[rid].servers) {
@@ -315,102 +476,16 @@ FeasibilityStatus AnalysisEngine::run_frontier(
       }
     }
   }
-  extra_delay = extra_sum;
-  active_count = sc.alist.size();
   return FeasibilityStatus::kNoConvergence;
-}
-
-AnalysisEngine::AnalysisEngine(const net::ServerGraph& graph, double alpha,
-                               traffic::LeakyBucket bucket, Seconds deadline,
-                               const FixedPointOptions& options)
-    : graph_(&graph),
-      alpha_(alpha),
-      bucket_(bucket),
-      deadline_(deadline),
-      options_(options) {
-  if (deadline <= 0.0)
-    throw std::invalid_argument("AnalysisEngine: deadline must be > 0");
-  const std::size_t servers = graph.size();
-  routes_by_server_.resize(servers);
-  used_count_.assign(servers, 0);
-  delay_.assign(servers, 0.0);
-  pending_dirty_.assign(servers, 0);
-  rebuild_beta();
-  if (options_.metrics) telemetry_ = EngineTelemetry::resolve(*options_.metrics);
-}
-
-void AnalysisEngine::rebuild_beta() {
-  const std::size_t servers = graph_->size();
-  beta_.resize(servers);
-  for (net::ServerId s = 0; s < servers; ++s)
-    beta_[s] = beta(alpha_, graph_->server(s).fan_in);
-}
-
-void AnalysisEngine::mark_dirty(net::ServerId s) {
-  if (!pending_dirty_[s]) {
-    pending_dirty_[s] = 1;
-    pending_list_.push_back(s);
-  }
-  solution_fresh_ = false;
-}
-
-EngineRouteId AnalysisEngine::add_route(const net::ServerPath& route) {
-  for (const net::ServerId s : route)
-    if (s >= graph_->size())
-      throw std::out_of_range("add_route: route references bad server");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{route, 0.0, true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(RouteEntry{route, 0.0, true});
-  }
-  for (const net::ServerId s : route) {
-    routes_by_server_[s].push_back(id);
-    ++used_count_[s];
-    mark_dirty(s);
-  }
-  ++active_routes_;
-  return id;
-}
-
-void AnalysisEngine::remove_route(EngineRouteId id) {
-  if (id >= routes_.size() || !routes_[id].active)
-    throw std::invalid_argument("remove_route: unknown route id");
-  RouteEntry& entry = routes_[id];
-  entry.active = false;
-  for (const net::ServerId s : entry.servers) {
-    std::erase(routes_by_server_[s], id);
-    --used_count_[s];
-    mark_dirty(s);
-  }
-  --active_routes_;
-  free_ids_.push_back(id);
-  // Delays may only decrease; warm starts are sound upward only, so the
-  // dirty closure restarts from zero.
-  pending_cold_ = true;
-}
-
-void AnalysisEngine::set_alpha(double alpha) {
-  if (alpha == alpha_) return;
-  const bool decrease = alpha < alpha_;
-  alpha_ = alpha;
-  rebuild_beta();
-  for (net::ServerId s = 0; s < graph_->size(); ++s)
-    if (used_count_[s] > 0 || delay_[s] != 0.0) mark_dirty(s);
-  if (decrease) pending_cold_ = true;
-  solution_fresh_ = false;
 }
 
 const DelaySolution& AnalysisEngine::solve() {
   if (solution_fresh_ && pending_list_.empty() && !poisoned_) return solution_;
 
-  const std::size_t servers = graph_->size();
+  const std::size_t classes = classes_.size();
   const bool warm = !poisoned_ && !pending_cold_;
   UBAC_SPAN_ARG("engine.solve", "engine", "warm", warm ? 1.0 : 0.0);
-  FeasibilityStatus status;
+  FeasibilityStatus status = FeasibilityStatus::kNoConvergence;
   int iterations = 0;
   std::size_t dirty = 0;
 
@@ -421,22 +496,19 @@ const DelaySolution& AnalysisEngine::solve() {
     std::vector<EngineRouteId> touched;
     std::vector<Seconds> touched_delay;
     Seconds unused = 0.0;
-    status = run_frontier(pending_list_, nullptr, delay_, touched,
+    status = run_frontier(pending_list_, nullptr, 0, delay_, touched,
                           touched_delay, unused, iterations, dirty);
     for (std::size_t r = 0; r < touched.size(); ++r)
       routes_[touched[r]].delay = touched_delay[r];
   } else {
     Closure cl;
-    auto route_path = [this](EngineRouteId rid) -> const net::ServerPath* {
-      return routes_[rid].active ? &routes_[rid].servers : nullptr;
-    };
     if (poisoned_) {
       // Previous state is not a sound lower bound (unsafe solve, or never
       // solved): restart the whole system from zero.
       std::fill(delay_.begin(), delay_.end(), 0.0);
-      cl.in.assign(servers, 0);
-      for (net::ServerId s = 0; s < servers; ++s)
-        if (used_count_[s] > 0) {
+      cl.in.assign(servers_, 0);
+      for (net::ServerId s = 0; s < servers_; ++s)
+        if (!routes_by_server_[s].empty()) {
           cl.in[s] = 1;
           cl.list.push_back(s);
         }
@@ -445,25 +517,80 @@ const DelaySolution& AnalysisEngine::solve() {
     } else {
       // Removal / alpha decrease: the affected closure restarts from zero
       // (delays may shrink; warm starts are only sound upward).
-      build_closure(servers, routes_.size(), pending_list_, routes_by_server_,
-                    route_path, cl);
-      for (const net::ServerId s : cl.list) delay_[s] = 0.0;
+      build_closure(
+          servers_, routes_.size(), pending_list_, routes_by_server_,
+          [this](EngineRouteId rid) -> const net::ServerPath& {
+            return routes_[rid].servers;
+          },
+          cl);
+      for (const net::ServerId s : cl.list)
+        for (std::size_t i = 0; i < classes; ++i) delay_[i * servers_ + s] = 0.0;
     }
 
-    std::vector<const net::ServerPath*> paths;
-    paths.reserve(cl.routes.size());
-    for (const EngineRouteId rid : cl.routes)
-      paths.push_back(&routes_[rid].servers);
+    // Restricted Jacobi pass, the same iteration as the cold solvers:
+    // closure servers only, every other delay held fixed; sound early
+    // deadline-violation exit, convergence on max delay change, final
+    // route-sum check.
+    std::vector<RouteWalk> walks;
+    walks.reserve(cl.routes.size());
+    for (const EngineRouteId rid : cl.routes) {
+      const RouteEntry& entry = routes_[rid];
+      walks.push_back({entry.servers.data(),
+                       entry.servers.data() + entry.servers.size(),
+                       entry.class_index});
+    }
+    Seconds* const d = delay_.data();
+    std::vector<Seconds> upstream(classes * servers_, 0.0);
+    std::vector<Seconds> route_delay(walks.size(), 0.0);
+    for (int iter = 1; iter <= options_.max_iterations; ++iter) {
+      iterations = iter;
+      for (std::size_t i = 0; i < classes; ++i)
+        for (const net::ServerId s : cl.list) upstream[i * servers_ + s] = 0.0;
+      bool violated = false;
+      for (std::size_t r = 0; r < walks.size(); ++r) {
+        const RouteWalk& w = walks[r];
+        const std::size_t row = w.class_index * servers_;
+        Seconds prefix = 0.0;
+        for (const net::ServerId* p = w.first; p != w.last; ++p) {
+          if (cl.in[*p])
+            upstream[row + *p] = std::max(upstream[row + *p], prefix);
+          prefix += d[row + *p];
+        }
+        route_delay[r] = prefix;
+        if (prefix > classes_[w.class_index].deadline) violated = true;
+      }
+      if (violated) {
+        status = FeasibilityStatus::kDeadlineViolated;
+        break;
+      }
 
-    const Seconds base = bucket_.burst / bucket_.rate;
-    std::vector<Seconds> route_delay, upstream(servers, 0.0);
-    status = iterate_restricted(
-        cl, paths, [this](std::size_t) { return deadline_; },
-        [this, base](net::ServerId s, Seconds up) {
-          return used_count_[s] > 0 ? beta_[s] * (base + up) : 0.0;
-        },
-        delay_, route_delay, upstream, options_.max_iterations,
-        options_.tolerance, iterations);
+      Seconds max_change = 0.0;
+      for (std::size_t i = 0; i < classes; ++i) {
+        if (!classes_[i].realtime) continue;
+        for (const net::ServerId s : cl.list) {
+          const std::size_t k = i * servers_ + s;
+          const Seconds next =
+              used_count_[k] > 0 ? delay_at(i, s, upstream.data()) : 0.0;
+          max_change = std::max(max_change, std::abs(next - d[k]));
+          d[k] = next;
+        }
+      }
+      if (max_change < options_.tolerance) {
+        bool ok = true;
+        for (std::size_t r = 0; r < walks.size(); ++r) {
+          const RouteWalk& w = walks[r];
+          const std::size_t row = w.class_index * servers_;
+          Seconds total = 0.0;
+          for (const net::ServerId* p = w.first; p != w.last; ++p)
+            total += d[row + *p];
+          route_delay[r] = total;
+          ok = ok && total <= classes_[w.class_index].deadline;
+        }
+        status = ok ? FeasibilityStatus::kSafe
+                    : FeasibilityStatus::kDeadlineViolated;
+        break;
+      }
+    }
 
     for (std::size_t r = 0; r < cl.routes.size(); ++r)
       routes_[cl.routes[r]].delay = route_delay[r];
@@ -493,22 +620,24 @@ void AnalysisEngine::refresh_solution(int iterations) {
   solution_fresh_ = true;
 }
 
-RouteProbe AnalysisEngine::probe_route(const net::ServerPath& route) const {
+RouteProbe AnalysisEngine::probe_route(const net::ServerPath& route,
+                                       std::size_t class_index) const {
   UBAC_SPAN_ARG("engine.probe_route", "engine", "hops", route.size());
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
     throw std::logic_error(
         "probe_route: engine needs a clean, safely solved committed state");
-  const std::size_t servers = graph_->size();
+  check_class(class_index);
   for (const net::ServerId s : route)
-    if (s >= servers)
+    if (s >= servers_)
       throw std::out_of_range("probe_route: route references bad server");
 
   // Fast reject: the committed delays are a lower bound of the overlay
   // fixed point, so if their sum along the candidate already breaks the
   // deadline the converged sum must too. O(|route|), no iteration.
+  const std::size_t row = class_index * servers_;
   Seconds lower_bound = 0.0;
-  for (const net::ServerId s : route) lower_bound += delay_[s];
-  if (lower_bound > deadline_) {
+  for (const net::ServerId s : route) lower_bound += delay_[row + s];
+  if (lower_bound > classes_[class_index].deadline) {
     RouteProbe probe;
     probe.status = FeasibilityStatus::kDeadlineViolated;
     probe.route_delay = lower_bound;
@@ -526,14 +655,16 @@ RouteProbe AnalysisEngine::probe_route(const net::ServerPath& route) const {
   static const std::vector<net::ServerId> kNoSeeds;
   RouteProbe probe;
   std::size_t dirty = 0;
-  probe.status = run_frontier(kNoSeeds, &route, d, touched, touched_delay,
-                              probe.route_delay, probe.iterations, dirty);
+  probe.status =
+      run_frontier(kNoSeeds, &route, class_index, d, touched, touched_delay,
+                   probe.route_delay, probe.iterations, dirty);
 
   for (std::size_t r = 0; r < touched.size(); ++r)
     if (touched_delay[r] != routes_[touched[r]].delay)
       probe.committed_route_delta.push_back({touched[r], touched_delay[r]});
-  for (net::ServerId s = 0; s < servers; ++s)
-    if (d[s] != delay_[s]) probe.server_delta.push_back({s, d[s]});
+  for (std::size_t k = 0; k < d.size(); ++k)
+    if (d[k] != delay_[k])
+      probe.server_delta.push_back({static_cast<net::ServerId>(k), d[k]});
 
   if (telemetry_.probes) telemetry_.probes->add();
   if (telemetry_.dirty_servers)
@@ -542,46 +673,35 @@ RouteProbe AnalysisEngine::probe_route(const net::ServerPath& route) const {
 }
 
 std::vector<RouteProbe> AnalysisEngine::probe_routes(
-    const std::vector<net::ServerPath>& candidates,
-    util::ThreadPool* pool) const {
+    const std::vector<net::ServerPath>& candidates, util::ThreadPool* pool,
+    std::size_t class_index) const {
   std::vector<RouteProbe> out(candidates.size());
   if (pool == nullptr || pool->thread_count() <= 1 || candidates.size() <= 1) {
     for (std::size_t i = 0; i < candidates.size(); ++i)
-      out[i] = probe_route(candidates[i]);
+      out[i] = probe_route(candidates[i], class_index);
   } else {
     pool->parallel_for(candidates.size(), [&](std::size_t i) {
-      out[i] = probe_route(candidates[i]);
+      out[i] = probe_route(candidates[i], class_index);
     });
   }
   return out;
 }
 
 EngineRouteId AnalysisEngine::commit_probe(const net::ServerPath& route,
-                                           const RouteProbe& probe) {
+                                           const RouteProbe& probe,
+                                           std::size_t class_index) {
   if (!probe.safe())
     throw std::invalid_argument("commit_probe: probe is not safe");
   if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
     throw std::logic_error("commit_probe: engine changed since the probe");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{route, probe.route_delay, true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(RouteEntry{route, probe.route_delay, true});
-  }
-  for (const net::ServerId s : route) {
-    routes_by_server_[s].push_back(id);
-    ++used_count_[s];
-  }
-  ++active_routes_;
+  check_class(class_index);
+  const EngineRouteId id = insert_route(route, class_index, probe.route_delay);
   // Apply the sparse delta to both the committed state and the cached
   // solution — a full refresh_solution would rebuild the per-route vector
   // and make a run of n commits quadratic.
-  for (const auto& [s, v] : probe.server_delta) {
-    delay_[s] = v;
-    solution_.server_delay[s] = v;
+  for (const auto& [k, v] : probe.server_delta) {
+    delay_[k] = v;
+    solution_.server_delay[k] = v;
   }
   for (const auto& [rid, v] : probe.committed_route_delta) {
     routes_[rid].delay = v;
@@ -596,14 +716,15 @@ EngineRouteId AnalysisEngine::commit_probe(const net::ServerPath& route,
 
 AlphaResearch AnalysisEngine::research_alpha(double lo, double hi,
                                              double resolution) {
-  if (!(lo >= 0.0) || !(hi <= 1.0) || lo > hi)
-    throw std::invalid_argument("research_alpha: need 0 <= lo <= hi <= 1");
+  if (!(lo > 0.0) || !(hi <= 1.0) || lo > hi)
+    throw std::invalid_argument("research_alpha: need 0 < lo <= hi <= 1");
   if (!(resolution > 0.0))
     throw std::invalid_argument("research_alpha: resolution must be > 0");
+  require_single_realtime("research_alpha");
   UBAC_SPAN_ARG("engine.research_alpha", "engine", "hi", hi);
 
   AlphaResearch result;
-  result.seed_alpha = alpha_;
+  result.seed_alpha = alpha();
 
   const auto safe_at = [&](double a) {
     set_alpha(a);
@@ -652,7 +773,8 @@ AlphaResearch AnalysisEngine::research_alpha(double lo, double hi,
   set_alpha(result.alpha);
   solve();
   if (have_best && result.alpha != result.seed_alpha)
-    result.deltas.push_back(ShareDelta{0, result.seed_alpha, result.alpha});
+    result.deltas.push_back(
+        ShareDelta{alpha_class_, result.seed_alpha, result.alpha});
   return result;
 }
 
@@ -666,386 +788,6 @@ const net::ServerPath& AnalysisEngine::route(EngineRouteId id) const {
   if (id >= routes_.size() || !routes_[id].active)
     throw std::invalid_argument("route: unknown route id");
   return routes_[id].servers;
-}
-
-// ---------------------------------------------------------------------------
-// MulticlassEngine
-// ---------------------------------------------------------------------------
-
-MulticlassEngine::MulticlassEngine(const net::ServerGraph& graph,
-                                   const traffic::ClassSet& classes,
-                                   const FixedPointOptions& options)
-    : graph_(&graph),
-      classes_(&classes),
-      options_(options),
-      servers_(graph.size()),
-      num_classes_(classes.size()) {
-  routes_by_server_.resize(servers_);
-  used_count_.assign(num_classes_ * servers_, 0);
-  delay_.assign(num_classes_ * servers_, 0.0);
-  pending_dirty_.assign(servers_, 0);
-  if (options_.metrics) telemetry_ = EngineTelemetry::resolve(*options_.metrics);
-}
-
-void MulticlassEngine::mark_dirty(net::ServerId s) {
-  if (!pending_dirty_[s]) {
-    pending_dirty_[s] = 1;
-    pending_list_.push_back(s);
-  }
-  solution_fresh_ = false;
-}
-
-EngineRouteId MulticlassEngine::add_route(const traffic::Demand& demand,
-                                          const net::ServerPath& route) {
-  if (demand.class_index >= num_classes_ ||
-      !classes_->at(demand.class_index).realtime)
-    throw std::invalid_argument("add_route: demand class must be realtime");
-  for (const net::ServerId s : route)
-    if (s >= servers_)
-      throw std::out_of_range("add_route: route references bad server");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{demand, route, 0.0, true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(RouteEntry{demand, route, 0.0, true});
-  }
-  for (const net::ServerId s : route) {
-    routes_by_server_[s].push_back(id);
-    ++used_count_[demand.class_index * servers_ + s];
-    mark_dirty(s);
-  }
-  ++active_routes_;
-  return id;
-}
-
-void MulticlassEngine::remove_route(EngineRouteId id) {
-  if (id >= routes_.size() || !routes_[id].active)
-    throw std::invalid_argument("remove_route: unknown route id");
-  RouteEntry& entry = routes_[id];
-  entry.active = false;
-  for (const net::ServerId s : entry.servers) {
-    std::erase(routes_by_server_[s], id);
-    --used_count_[entry.demand.class_index * servers_ + s];
-    mark_dirty(s);
-  }
-  --active_routes_;
-  free_ids_.push_back(id);
-  pending_cold_ = true;
-}
-
-const MulticlassSolution& MulticlassEngine::solve() {
-  if (solution_fresh_ && pending_list_.empty() && !poisoned_) return solution_;
-
-  Closure cl;
-  const bool warm = !poisoned_ && !pending_cold_;
-  UBAC_SPAN_ARG("engine.solve", "engine", "warm", warm ? 1.0 : 0.0);
-  auto route_path = [this](EngineRouteId rid) -> const net::ServerPath* {
-    return routes_[rid].active ? &routes_[rid].servers : nullptr;
-  };
-  if (poisoned_) {
-    std::fill(delay_.begin(), delay_.end(), 0.0);
-    cl.in.assign(servers_, 0);
-    for (net::ServerId s = 0; s < servers_; ++s) {
-      for (std::size_t i = 0; i < num_classes_; ++i)
-        if (used_count_[i * servers_ + s] > 0) {
-          cl.in[s] = 1;
-          cl.list.push_back(s);
-          break;
-        }
-    }
-    for (EngineRouteId rid = 0; rid < routes_.size(); ++rid)
-      if (routes_[rid].active) cl.routes.push_back(rid);
-  } else {
-    build_closure(servers_, routes_.size(), pending_list_, routes_by_server_,
-                  route_path, cl);
-    if (pending_cold_)
-      for (const net::ServerId s : cl.list)
-        for (std::size_t i = 0; i < num_classes_; ++i)
-          delay_[i * servers_ + s] = 0.0;
-  }
-
-  // Multi-class restricted iteration (mirrors solve_multiclass, touching
-  // only closure servers and the routes crossing them).
-  std::vector<Seconds> upstream(num_classes_ * servers_, 0.0);
-  std::vector<Seconds> upstream_at_k(num_classes_, 0.0);
-  std::vector<Seconds> route_delay(cl.routes.size(), 0.0);
-  int iterations = 0;
-  FeasibilityStatus status = FeasibilityStatus::kNoConvergence;
-  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
-    iterations = iter;
-    for (const net::ServerId s : cl.list)
-      for (std::size_t i = 0; i < num_classes_; ++i)
-        upstream[i * servers_ + s] = 0.0;
-    bool violated = false;
-    for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-      const RouteEntry& entry = routes_[cl.routes[r]];
-      const std::size_t i = entry.demand.class_index;
-      Seconds prefix = 0.0;
-      for (const net::ServerId u : entry.servers) {
-        if (cl.in[u])
-          upstream[i * servers_ + u] =
-              std::max(upstream[i * servers_ + u], prefix);
-        prefix += delay_[i * servers_ + u];
-      }
-      route_delay[r] = prefix;
-      if (prefix > classes_->at(i).deadline) violated = true;
-    }
-    if (violated) {
-      status = FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-
-    Seconds max_change = 0.0;
-    for (const net::ServerId s : cl.list) {
-      for (std::size_t l = 0; l < num_classes_; ++l)
-        upstream_at_k[l] = upstream[l * servers_ + s];
-      for (std::size_t i = 0; i < num_classes_; ++i) {
-        if (!classes_->at(i).realtime) continue;
-        Seconds next = 0.0;
-        if (used_count_[i * servers_ + s] > 0)
-          next = theorem5_delay(*classes_, i, graph_->server(s).fan_in,
-                                upstream_at_k);
-        max_change =
-            std::max(max_change, std::abs(next - delay_[i * servers_ + s]));
-        delay_[i * servers_ + s] = next;
-      }
-    }
-    if (max_change < options_.tolerance) {
-      bool ok = true;
-      for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-        const RouteEntry& entry = routes_[cl.routes[r]];
-        const std::size_t i = entry.demand.class_index;
-        Seconds total = 0.0;
-        for (const net::ServerId u : entry.servers)
-          total += delay_[i * servers_ + u];
-        route_delay[r] = total;
-        ok = ok && total <= classes_->at(i).deadline;
-      }
-      status = ok ? FeasibilityStatus::kSafe
-                  : FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-  }
-
-  for (std::size_t r = 0; r < cl.routes.size(); ++r)
-    routes_[cl.routes[r]].delay = route_delay[r];
-
-  if (telemetry_.dirty_servers)
-    telemetry_.dirty_servers->record(static_cast<double>(cl.list.size()));
-  if (warm && telemetry_.solves_warm) telemetry_.solves_warm->add();
-  if (!warm && telemetry_.solves_cold) telemetry_.solves_cold->add();
-
-  for (const net::ServerId s : pending_list_) pending_dirty_[s] = 0;
-  pending_list_.clear();
-  pending_cold_ = false;
-  solution_.status = status;
-  poisoned_ = status != FeasibilityStatus::kSafe;
-  refresh_solution(iterations);
-  return solution_;
-}
-
-void MulticlassEngine::refresh_solution(int iterations) {
-  solution_.class_server_delay.assign(num_classes_,
-                                      std::vector<Seconds>(servers_, 0.0));
-  for (std::size_t i = 0; i < num_classes_; ++i)
-    for (net::ServerId s = 0; s < servers_; ++s)
-      solution_.class_server_delay[i][s] = delay_[i * servers_ + s];
-  solution_.route_delay.assign(routes_.size(), 0.0);
-  for (EngineRouteId rid = 0; rid < routes_.size(); ++rid)
-    if (routes_[rid].active) solution_.route_delay[rid] = routes_[rid].delay;
-  solution_.iterations = iterations;
-  solution_fresh_ = true;
-}
-
-RouteProbe MulticlassEngine::probe_route(const traffic::Demand& demand,
-                                         const net::ServerPath& route) const {
-  UBAC_SPAN_ARG("engine.probe_route", "engine", "hops", route.size());
-  if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
-    throw std::logic_error(
-        "probe_route: engine needs a clean, safely solved committed state");
-  if (demand.class_index >= num_classes_ ||
-      !classes_->at(demand.class_index).realtime)
-    throw std::invalid_argument("probe_route: demand class must be realtime");
-  for (const net::ServerId s : route)
-    if (s >= servers_)
-      throw std::out_of_range("probe_route: route references bad server");
-
-  // Fast reject on the committed lower bound, as in the two-class probe.
-  {
-    Seconds lower_bound = 0.0;
-    for (const net::ServerId s : route)
-      lower_bound += delay_[demand.class_index * servers_ + s];
-    if (lower_bound > classes_->at(demand.class_index).deadline) {
-      RouteProbe probe;
-      probe.status = FeasibilityStatus::kDeadlineViolated;
-      probe.route_delay = lower_bound;
-      if (telemetry_.probes) telemetry_.probes->add();
-      if (telemetry_.dirty_servers) telemetry_.dirty_servers->record(0.0);
-      return probe;
-    }
-  }
-
-  Closure cl;
-  auto route_path = [this](EngineRouteId rid) -> const net::ServerPath* {
-    return routes_[rid].active ? &routes_[rid].servers : nullptr;
-  };
-  std::vector<net::ServerId> seeds(route.begin(), route.end());
-  build_closure(servers_, routes_.size(), seeds, routes_by_server_, route_path,
-                cl);
-
-  const std::size_t cand_class = demand.class_index;
-  std::vector<char> on_candidate(servers_, 0);
-  for (const net::ServerId s : route) on_candidate[s] = 1;
-
-  std::vector<Seconds> d = delay_;  // forked view
-  std::vector<Seconds> upstream(num_classes_ * servers_, 0.0);
-  std::vector<Seconds> upstream_at_k(num_classes_, 0.0);
-  std::vector<Seconds> route_delay(cl.routes.size() + 1, 0.0);
-  RouteProbe probe;
-  probe.status = FeasibilityStatus::kNoConvergence;
-  for (int iter = 1; iter <= options_.max_iterations; ++iter) {
-    probe.iterations = iter;
-    for (const net::ServerId s : cl.list)
-      for (std::size_t i = 0; i < num_classes_; ++i)
-        upstream[i * servers_ + s] = 0.0;
-    bool violated = false;
-    auto walk = [&](std::size_t i, const net::ServerPath& path,
-                    std::size_t out_index) {
-      Seconds prefix = 0.0;
-      for (const net::ServerId u : path) {
-        if (cl.in[u])
-          upstream[i * servers_ + u] =
-              std::max(upstream[i * servers_ + u], prefix);
-        prefix += d[i * servers_ + u];
-      }
-      route_delay[out_index] = prefix;
-      if (prefix > classes_->at(i).deadline) violated = true;
-    };
-    for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-      const RouteEntry& entry = routes_[cl.routes[r]];
-      walk(entry.demand.class_index, entry.servers, r);
-    }
-    walk(cand_class, route, cl.routes.size());
-    if (violated) {
-      probe.status = FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-
-    Seconds max_change = 0.0;
-    for (const net::ServerId s : cl.list) {
-      for (std::size_t l = 0; l < num_classes_; ++l)
-        upstream_at_k[l] = upstream[l * servers_ + s];
-      for (std::size_t i = 0; i < num_classes_; ++i) {
-        if (!classes_->at(i).realtime) continue;
-        const bool used = used_count_[i * servers_ + s] > 0 ||
-                          (i == cand_class && on_candidate[s]);
-        Seconds next = 0.0;
-        if (used)
-          next = theorem5_delay(*classes_, i, graph_->server(s).fan_in,
-                                upstream_at_k);
-        max_change =
-            std::max(max_change, std::abs(next - d[i * servers_ + s]));
-        d[i * servers_ + s] = next;
-      }
-    }
-    if (max_change < options_.tolerance) {
-      bool ok = true;
-      auto total_of = [&](std::size_t i, const net::ServerPath& path,
-                          std::size_t out_index) {
-        Seconds total = 0.0;
-        for (const net::ServerId u : path) total += d[i * servers_ + u];
-        route_delay[out_index] = total;
-        ok = ok && total <= classes_->at(i).deadline;
-      };
-      for (std::size_t r = 0; r < cl.routes.size(); ++r) {
-        const RouteEntry& entry = routes_[cl.routes[r]];
-        total_of(entry.demand.class_index, entry.servers, r);
-      }
-      total_of(cand_class, route, cl.routes.size());
-      probe.status = ok ? FeasibilityStatus::kSafe
-                        : FeasibilityStatus::kDeadlineViolated;
-      break;
-    }
-  }
-  probe.route_delay = route_delay.back();
-
-  for (const net::ServerId s : cl.list)
-    for (std::size_t i = 0; i < num_classes_; ++i) {
-      const std::size_t flat = i * servers_ + s;
-      if (d[flat] != delay_[flat]) probe.server_delta.push_back({flat, d[flat]});
-    }
-  for (std::size_t r = 0; r < cl.routes.size(); ++r)
-    if (route_delay[r] != routes_[cl.routes[r]].delay)
-      probe.committed_route_delta.push_back({cl.routes[r], route_delay[r]});
-
-  if (telemetry_.probes) telemetry_.probes->add();
-  if (telemetry_.dirty_servers)
-    telemetry_.dirty_servers->record(static_cast<double>(cl.list.size()));
-  return probe;
-}
-
-std::vector<RouteProbe> MulticlassEngine::probe_routes(
-    const traffic::Demand& demand,
-    const std::vector<net::ServerPath>& candidates,
-    util::ThreadPool* pool) const {
-  std::vector<RouteProbe> out(candidates.size());
-  if (pool == nullptr || pool->thread_count() <= 1 || candidates.size() <= 1) {
-    for (std::size_t i = 0; i < candidates.size(); ++i)
-      out[i] = probe_route(demand, candidates[i]);
-  } else {
-    pool->parallel_for(candidates.size(), [&](std::size_t i) {
-      out[i] = probe_route(demand, candidates[i]);
-    });
-  }
-  return out;
-}
-
-EngineRouteId MulticlassEngine::commit_probe(const traffic::Demand& demand,
-                                             const net::ServerPath& route,
-                                             const RouteProbe& probe) {
-  if (!probe.safe())
-    throw std::invalid_argument("commit_probe: probe is not safe");
-  if (!solution_fresh_ || poisoned_ || !pending_list_.empty())
-    throw std::logic_error("commit_probe: engine changed since the probe");
-  EngineRouteId id;
-  if (!free_ids_.empty()) {
-    id = free_ids_.back();
-    free_ids_.pop_back();
-    routes_[id] = RouteEntry{demand, route, probe.route_delay, true};
-  } else {
-    id = routes_.size();
-    routes_.push_back(RouteEntry{demand, route, probe.route_delay, true});
-  }
-  for (const net::ServerId s : route) {
-    routes_by_server_[s].push_back(id);
-    ++used_count_[demand.class_index * servers_ + s];
-  }
-  ++active_routes_;
-  // Sparse-delta update of state and cached solution, as in
-  // AnalysisEngine::commit_probe (a full refresh would be quadratic over a
-  // run of commits).
-  for (const auto& [flat, v] : probe.server_delta) {
-    delay_[flat] = v;
-    solution_.class_server_delay[flat / servers_][flat % servers_] = v;
-  }
-  for (const auto& [rid, v] : probe.committed_route_delta) {
-    routes_[rid].delay = v;
-    solution_.route_delay[rid] = v;
-  }
-  solution_.route_delay.resize(routes_.size(), 0.0);
-  solution_.route_delay[id] = probe.route_delay;
-  solution_.iterations = probe.iterations;
-  solution_fresh_ = true;
-  return id;
-}
-
-Seconds MulticlassEngine::route_delay(EngineRouteId id) const {
-  if (id >= routes_.size() || !routes_[id].active)
-    throw std::invalid_argument("route_delay: unknown route id");
-  return routes_[id].delay;
 }
 
 }  // namespace ubac::analysis

@@ -7,8 +7,12 @@
 /// renegotiation) evaluates thousands of "committed set +/- one route"
 /// scenarios. The cold solvers in fixed_point.hpp / multiclass.hpp
 /// recompute every per-server aggregate from nothing on every call; this
-/// engine instead *owns* a scenario — server graph, traffic class(es) and
-/// the committed route set — and re-solves incrementally:
+/// engine instead *owns* a scenario — server graph, traffic classes and
+/// the committed route set — and re-solves incrementally. One engine
+/// serves every class set: Theorem 5 (multiclass.hpp) with one real-time
+/// class is Theorem 3, and the engine evaluates it in a coefficient form
+/// that makes that case bit-identical to solve_two_class
+/// (docs/analysis_engine.md).
 ///
 ///  * **Dirty closure.** Adding or removing a route can only change the
 ///    delays of the servers on that route and of servers *downstream* of
@@ -45,9 +49,7 @@
 #include <vector>
 
 #include "analysis/fixed_point.hpp"
-#include "analysis/multiclass.hpp"
 #include "net/server_graph.hpp"
-#include "traffic/flow.hpp"
 #include "traffic/leaky_bucket.hpp"
 #include "traffic/service_class.hpp"
 
@@ -84,10 +86,9 @@ struct RouteProbe {
   bool safe() const { return status == FeasibilityStatus::kSafe; }
 };
 
-/// One class's share change proposed by a max-alpha re-search. The
-/// two-class engine has exactly one real-time class (index 0); the struct
-/// carries the index so actuators can forward deltas to a multi-class
-/// ledger unchanged.
+/// One class's share change proposed by a max-alpha re-search (of the
+/// engine's only real-time class); the struct carries the index so
+/// actuators can forward deltas to a multi-class ledger unchanged.
 struct ShareDelta {
   std::size_t class_index = 0;
   double previous = 0.0;
@@ -116,56 +117,77 @@ struct EngineTelemetry {
   static EngineTelemetry resolve(telemetry::MetricsRegistry& registry);
 };
 
-/// Incremental engine for the two-class system of Theorem 3 (one
-/// real-time class at utilization alpha + best effort). Not thread-safe
-/// for mutation; const probes may run concurrently.
+/// Incremental engine for the delay system of Theorem 5 over any class
+/// set; the two-class system of Theorem 3 (one real-time class at
+/// utilization alpha + best effort) is its one-real-time-class case and is
+/// evaluated bit for bit like solve_two_class. State is class-major:
+/// per-(class, server) delays and usage, flattened as
+/// class_index * server_count + server. Not thread-safe for mutation;
+/// const probes may run concurrently.
 class AnalysisEngine {
  public:
+  /// One real-time class at utilization alpha (Theorem 3).
   AnalysisEngine(const net::ServerGraph& graph, double alpha,
                  traffic::LeakyBucket bucket, Seconds deadline,
                  const FixedPointOptions& options = {});
 
+  /// Any class set (Theorem 5). Routes name their real-time class by index
+  /// into `classes`; best-effort classes keep all-zero delay rows. The
+  /// classes are copied.
+  AnalysisEngine(const net::ServerGraph& graph,
+                 const traffic::ClassSet& classes,
+                 const FixedPointOptions& options = {});
+
   // -- scenario mutation (marks state dirty; solve() settles it) ---------
 
-  /// Add a route (link-server granularity). O(|route|).
-  EngineRouteId add_route(const net::ServerPath& route);
+  /// Add a route (link-server granularity) of real-time class
+  /// `class_index`. O(|route|).
+  EngineRouteId add_route(const net::ServerPath& route,
+                          std::size_t class_index = 0);
 
   /// Remove a committed route. The dirty closure restarts from zero on
   /// the next solve (delays may decrease; warm starts are only sound
   /// upward). O(|route|).
   void remove_route(EngineRouteId id);
 
-  /// Change the assigned utilization. Raising alpha keeps the committed
-  /// delays as a warm start (Z grows pointwise in alpha); lowering it
-  /// restarts every used server from zero.
+  /// Change the share of the engine's only real-time class. Raising alpha
+  /// keeps the committed delays as a warm start (Z grows pointwise in
+  /// alpha); lowering it restarts every used server from zero. Throws
+  /// std::invalid_argument unless 0 < alpha <= 1 and std::logic_error on
+  /// an engine with several real-time classes; either way the engine is
+  /// left unchanged.
   void set_alpha(double alpha);
 
   // -- solving -----------------------------------------------------------
 
   /// Settle all pending mutations incrementally and return the committed
-  /// solution (cached when nothing changed). After an unsafe result the
-  /// engine state is *poisoned*: the next solve after further mutations
-  /// runs cold over the full system, and probes are rejected until a safe
-  /// solve commits.
+  /// solution (cached when nothing changed); server_delay is class-major.
+  /// After an unsafe result the engine state is *poisoned*: the next solve
+  /// after further mutations runs cold over the full system, and probes
+  /// are rejected until a safe solve commits.
   const DelaySolution& solve();
 
-  /// Trial-evaluate committed + `route` without mutating the engine.
-  /// Requires a clean, safely solved committed state. Thread-safe against
-  /// concurrent probes.
-  RouteProbe probe_route(const net::ServerPath& route) const;
+  /// Trial-evaluate committed + `route` (of class `class_index`) without
+  /// mutating the engine. Requires a clean, safely solved committed state.
+  /// Thread-safe against concurrent probes. server_delta entries are
+  /// class-major flat indices.
+  RouteProbe probe_route(const net::ServerPath& route,
+                         std::size_t class_index = 0) const;
 
-  /// Probe several candidates, on `pool` when given (nullptr or a
-  /// single-thread pool scores sequentially). Results are positionally
-  /// aligned with `candidates` and independent of the thread count.
+  /// Probe several candidates of one class, on `pool` when given (nullptr
+  /// or a single-thread pool scores sequentially). Results are
+  /// positionally aligned with `candidates` and independent of the thread
+  /// count.
   std::vector<RouteProbe> probe_routes(
-      const std::vector<net::ServerPath>& candidates,
-      util::ThreadPool* pool) const;
+      const std::vector<net::ServerPath>& candidates, util::ThreadPool* pool,
+      std::size_t class_index = 0) const;
 
-  /// Commit a candidate previously accepted by probe_route, applying its
-  /// sparse delta instead of re-solving. The probe must be safe and the
-  /// engine unchanged since the probe was taken.
+  /// Commit a candidate previously accepted by probe_route with the same
+  /// class, applying its sparse delta instead of re-solving. The probe
+  /// must be safe and the engine unchanged since the probe was taken.
   EngineRouteId commit_probe(const net::ServerPath& route,
-                             const RouteProbe& probe);
+                             const RouteProbe& probe,
+                             std::size_t class_index = 0);
 
   /// Warm-started incremental max-alpha re-search over [lo, hi], seeded
   /// from the current (last feasible) configuration: find the largest
@@ -175,39 +197,68 @@ class AnalysisEngine {
   /// state and costs one cold restart, which bisection keeps to
   /// O(log((hi-lo)/resolution)) total. When nothing in [lo, hi] is safe
   /// the engine is restored to the seed alpha and `feasible` is false.
-  /// Throws std::invalid_argument unless 0 <= lo <= hi <= 1.
+  /// Throws std::invalid_argument unless 0 < lo <= hi <= 1 and
+  /// resolution > 0, and std::logic_error on an engine with several
+  /// real-time classes; both before anything changes.
   AlphaResearch research_alpha(double lo, double hi,
                                double resolution = 1e-3);
 
   // -- accessors ---------------------------------------------------------
 
-  double alpha() const { return alpha_; }
+  /// Share of the first real-time class (alpha of a two-class engine).
+  double alpha() const { return classes_[alpha_class_].share; }
   const net::ServerGraph& graph() const { return *graph_; }
   std::size_t route_count() const { return active_routes_; }
-  /// Committed per-server delay vector (meaningful after a safe solve).
+  /// Committed class-major delay vector (meaningful after a safe solve).
   const std::vector<Seconds>& server_delays() const { return delay_; }
   Seconds route_delay(EngineRouteId id) const;
   const net::ServerPath& route(EngineRouteId id) const;
 
  private:
+  /// Theorem 5 inputs of one class, precomputed (see set_coefficients).
+  struct ClassTerms {
+    Seconds base = 0.0;  ///< T/rho
+    Seconds deadline = 0.0;
+    double share = 0.0;
+    bool realtime = false;
+    /// (l, a_l / (1 - B_i)) for every higher-priority real-time class l.
+    std::vector<std::pair<std::size_t, double>> higher;
+  };
+
   struct RouteEntry {
     net::ServerPath servers;
+    std::size_t class_index = 0;
     Seconds delay = 0.0;
     bool active = false;
   };
 
+  AnalysisEngine(const net::ServerGraph& graph,
+                 std::vector<ClassTerms> classes,
+                 const FixedPointOptions& options);
+
+  void set_coefficients();
+  void check_class(std::size_t class_index) const;
+  void require_single_realtime(const char* what) const;
   void mark_dirty(net::ServerId s);
-  void rebuild_beta();
+  EngineRouteId insert_route(const net::ServerPath& route,
+                             std::size_t class_index, Seconds delay);
   void refresh_solution(int iterations);
+
+  /// Theorem 5 bound of real-time class i at server s for the class-major
+  /// upstream accumulations `upstream`.
+  Seconds delay_at(std::size_t i, net::ServerId s,
+                   const Seconds* upstream) const;
 
   /// Frontier-restricted upward iteration for Z-increasing changes: only
   /// servers whose inputs actually changed (beyond the tolerance) are
   /// re-iterated, activating downstream servers on demand. `extra`, when
-  /// given, is an uncommitted candidate route overlaid on the committed
-  /// set (the probe path). Touched committed routes and their final sums
-  /// are returned through `touched`/`touched_delay`.
+  /// given, is an uncommitted candidate route of class `extra_class`
+  /// overlaid on the committed set (the probe path). Touched committed
+  /// routes and their final sums are returned through
+  /// `touched`/`touched_delay`.
   FeasibilityStatus run_frontier(const std::vector<net::ServerId>& seeds,
                                  const net::ServerPath* extra,
+                                 std::size_t extra_class,
                                  std::vector<Seconds>& d,
                                  std::vector<EngineRouteId>& touched,
                                  std::vector<Seconds>& touched_delay,
@@ -215,21 +266,23 @@ class AnalysisEngine {
                                  std::size_t& active_count) const;
 
   const net::ServerGraph* graph_;
-  double alpha_;
-  traffic::LeakyBucket bucket_;
-  Seconds deadline_;
   FixedPointOptions options_;
   EngineTelemetry telemetry_;
+  std::size_t servers_ = 0;
+  std::vector<ClassTerms> classes_;
+  std::size_t alpha_class_ = 0;  ///< first real-time class
+  /// Own-class coefficient a_i((N-1) + (C_i - a_i)) / ((N - a_i)(1 - B_i))
+  /// per (class, server); beta(alpha, N) with one real-time class.
+  std::vector<double> own_;
 
   std::vector<RouteEntry> routes_;
   std::vector<EngineRouteId> free_ids_;
   std::size_t active_routes_ = 0;
-  /// Active route ids through each server (lazily compacted).
+  /// Active route ids (any class) through each server.
   std::vector<std::vector<EngineRouteId>> routes_by_server_;
-  std::vector<std::uint32_t> used_count_;  ///< active routes per server
-  std::vector<double> beta_;               ///< beta(alpha, fan_in) per server
+  std::vector<std::uint32_t> used_count_;  ///< active routes per (class, server)
 
-  std::vector<Seconds> delay_;  ///< committed per-server delays
+  std::vector<Seconds> delay_;  ///< committed per-(class, server) delays
   DelaySolution solution_;      ///< cache returned by solve()
   bool solution_fresh_ = false;
 
@@ -237,74 +290,6 @@ class AnalysisEngine {
   std::vector<net::ServerId> pending_list_;
   bool pending_cold_ = false;  ///< reset the dirty closure to zero
   bool poisoned_ = true;       ///< full cold solve required (also: never solved)
-};
-
-/// Incremental engine for the multi-class system of Theorem 5. Same state
-/// model and soundness argument as AnalysisEngine, with per-(class,
-/// server) delays; the dirty closure is tracked at server granularity and
-/// every real-time class re-iterates on it.
-class MulticlassEngine {
- public:
-  MulticlassEngine(const net::ServerGraph& graph,
-                   const traffic::ClassSet& classes,
-                   const FixedPointOptions& options = {});
-
-  EngineRouteId add_route(const traffic::Demand& demand,
-                          const net::ServerPath& route);
-  void remove_route(EngineRouteId id);
-
-  const MulticlassSolution& solve();
-
-  /// Probe result reuses RouteProbe; server_delta entries are flattened as
-  /// (class_index * server_count + server, delay).
-  RouteProbe probe_route(const traffic::Demand& demand,
-                         const net::ServerPath& route) const;
-  std::vector<RouteProbe> probe_routes(
-      const traffic::Demand& demand,
-      const std::vector<net::ServerPath>& candidates,
-      util::ThreadPool* pool) const;
-  EngineRouteId commit_probe(const traffic::Demand& demand,
-                             const net::ServerPath& route,
-                             const RouteProbe& probe);
-
-  const traffic::ClassSet& classes() const { return *classes_; }
-  std::size_t route_count() const { return active_routes_; }
-  Seconds route_delay(EngineRouteId id) const;
-
- private:
-  struct RouteEntry {
-    traffic::Demand demand;
-    net::ServerPath servers;
-    Seconds delay = 0.0;
-    bool active = false;
-  };
-
-  void mark_dirty(net::ServerId s);
-  void refresh_solution(int iterations);
-
-  const net::ServerGraph* graph_;
-  const traffic::ClassSet* classes_;
-  FixedPointOptions options_;
-  EngineTelemetry telemetry_;
-  std::size_t servers_ = 0;
-  std::size_t num_classes_ = 0;
-
-  std::vector<RouteEntry> routes_;
-  std::vector<EngineRouteId> free_ids_;
-  std::size_t active_routes_ = 0;
-  std::vector<std::vector<EngineRouteId>> routes_by_server_;
-  /// Active routes of class i through server s: used_count_[i * servers_ + s].
-  std::vector<std::uint32_t> used_count_;
-
-  /// Committed delays, flattened [class][server].
-  std::vector<Seconds> delay_;
-  MulticlassSolution solution_;
-  bool solution_fresh_ = false;
-
-  std::vector<char> pending_dirty_;
-  std::vector<net::ServerId> pending_list_;
-  bool pending_cold_ = false;
-  bool poisoned_ = true;
 };
 
 }  // namespace ubac::analysis

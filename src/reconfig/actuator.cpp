@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
+#include <stdexcept>
 
 #include "telemetry/exporters.hpp"
 #include "telemetry/span.hpp"
@@ -23,7 +25,52 @@ constexpr const char* kOutcomeDryRun = "dry-run";
 constexpr const char* kOutcomeInfeasible = "infeasible";
 constexpr const char* kOutcomeNoChange = "no-change";
 
+/// Parse one double field of a /reconfig POST into `dst`. Returns false
+/// (and fills `error`) on a malformed value; absent fields are skipped.
+bool parse_policy_double(const telemetry::HttpRequest& request,
+                         const char* key, double& dst, std::string& error) {
+  const std::string raw = request.query_get(key);
+  if (raw.empty()) return true;
+  char* end = nullptr;
+  const double v = std::strtod(raw.c_str(), &end);
+  if (end == raw.c_str() || *end != '\0') {
+    error = std::string("bad ") + key + "\n";
+    return false;
+  }
+  dst = v;
+  return true;
+}
+
+bool parse_policy_bool(const telemetry::HttpRequest& request, const char* key,
+                       bool& dst, std::string& error) {
+  const std::string raw = request.query_get(key);
+  if (raw.empty()) return true;
+  if (raw == "1" || raw == "true") {
+    dst = true;
+  } else if (raw == "0" || raw == "false") {
+    dst = false;
+  } else {
+    error = std::string("bad ") + key + " (want 0/1/true/false)\n";
+    return false;
+  }
+  return true;
+}
+
 }  // namespace
+
+void ActuationPolicy::validate() const {
+  if (!(search_lo > 0.0) || !(search_lo <= search_hi) || !(search_hi <= 1.0))
+    throw std::invalid_argument(
+        "actuation policy: need 0 < search_lo <= search_hi <= 1");
+  if (!(resolution > 0.0))
+    throw std::invalid_argument("actuation policy: resolution must be > 0");
+  if (!(max_step > 0.0))
+    throw std::invalid_argument("actuation policy: max_step must be > 0");
+  if (!(min_delta >= 0.0))
+    throw std::invalid_argument("actuation policy: min_delta must be >= 0");
+  if (cooldown_ns < 0)
+    throw std::invalid_argument("actuation policy: cooldown must be >= 0");
+}
 
 ReconfigurationActuator::ReconfigurationActuator(
     analysis::AnalysisEngine& engine,
@@ -31,6 +78,7 @@ ReconfigurationActuator::ReconfigurationActuator(
     telemetry::AlertEngine& alerts, ActuationPolicy policy, Options options)
     : engine_(&engine), controller_(&controller), alerts_(&alerts),
       options_(options), policy_(policy) {
+  policy_.validate();
   if (options_.metrics != nullptr) {
     telemetry::MetricsRegistry& m = *options_.metrics;
     actuations_applied_ = &m.counter(
@@ -221,6 +269,7 @@ ActuationPolicy ReconfigurationActuator::policy() const {
 }
 
 void ReconfigurationActuator::set_policy(const ActuationPolicy& policy) {
+  policy.validate();
   std::lock_guard<std::mutex> lock(mutex_);
   policy_ = policy;
 }
@@ -303,6 +352,37 @@ std::string ReconfigurationActuator::to_json() const {
   }
   out += "\n]}";
   return out;
+}
+
+void install_reconfig_route(telemetry::HttpEndpoint& endpoint,
+                            ReconfigurationActuator& actuator) {
+  endpoint.handle("/reconfig", [&actuator](const telemetry::HttpRequest& request) {
+    if (request.method == "POST") {
+      ActuationPolicy p = actuator.policy();
+      std::string error;
+      double cooldown_s = static_cast<double>(p.cooldown_ns) / 1e9;
+      if (!parse_policy_bool(request, "enabled", p.enabled, error) ||
+          !parse_policy_bool(request, "dry_run", p.dry_run, error) ||
+          !parse_policy_double(request, "cooldown_s", cooldown_s, error) ||
+          !parse_policy_double(request, "max_step", p.max_step, error) ||
+          !parse_policy_double(request, "search_lo", p.search_lo, error) ||
+          !parse_policy_double(request, "search_hi", p.search_hi, error) ||
+          !parse_policy_double(request, "resolution", p.resolution, error) ||
+          !parse_policy_double(request, "min_delta", p.min_delta, error))
+        return telemetry::HttpResponse::text(error, 400);
+      // Range-check before the cast: a NaN or huge double has no int64.
+      if (!(cooldown_s >= 0.0 && cooldown_s < 9e9))
+        return telemetry::HttpResponse::text("bad cooldown_s\n", 400);
+      p.cooldown_ns = static_cast<std::int64_t>(cooldown_s * 1e9);
+      try {
+        actuator.set_policy(p);
+      } catch (const std::invalid_argument& e) {
+        return telemetry::HttpResponse::text(std::string(e.what()) + "\n",
+                                             400);
+      }
+    }
+    return telemetry::HttpResponse::json(actuator.to_json());
+  });
 }
 
 }  // namespace ubac::reconfig

@@ -49,6 +49,7 @@
 #include "analysis/engine.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/event_trace.hpp"
+#include "telemetry/http_endpoint.hpp"
 #include "telemetry/metrics.hpp"
 
 namespace ubac::reconfig {
@@ -56,6 +57,10 @@ namespace ubac::reconfig {
 /// Bounds on what one actuation may do; every field is live-tunable
 /// through set_policy() (the /reconfig POST route).
 struct ActuationPolicy {
+  /// Throws std::invalid_argument unless 0 < search_lo <= search_hi <= 1,
+  /// resolution > 0, max_step > 0, min_delta >= 0 and cooldown_ns >= 0.
+  void validate() const;
+
   bool enabled = true;   ///< master switch; disabled ticks are free
   bool dry_run = false;  ///< search + report, never touch the ledger
   /// Minimum spacing between actuations (also charged after infeasible
@@ -96,7 +101,8 @@ class ReconfigurationActuator {
   };
 
   /// All referenced objects must outlive the actuator; `engine` becomes
-  /// actuator-owned for mutation (see file comment).
+  /// actuator-owned for mutation (see file comment). Throws
+  /// std::invalid_argument on a policy that fails validate().
   ReconfigurationActuator(analysis::AnalysisEngine& engine,
                           admission::ConcurrentAdmissionController& controller,
                           telemetry::AlertEngine& alerts,
@@ -114,6 +120,8 @@ class ReconfigurationActuator {
   void on_tick();
 
   ActuationPolicy policy() const;
+  /// Replace the policy; an invalid one throws std::invalid_argument and
+  /// the current policy stays in force.
   void set_policy(const ActuationPolicy& policy);
 
   std::uint64_t actuations() const;        ///< ledger swaps applied
@@ -167,5 +175,13 @@ class ReconfigurationActuator {
   telemetry::Counter* shed_flows_metric_ = nullptr;
   telemetry::Gauge* alpha_gauge_ = nullptr;
 };
+
+/// Wire /reconfig onto `endpoint`: GET returns to_json(); POST updates the
+/// policy fields given as parameters (enabled, dry_run, cooldown_s,
+/// max_step, search_lo, search_hi, resolution, min_delta) and answers 400,
+/// keeping the current policy, on a malformed or invalid value.
+/// `actuator` must outlive the endpoint; add before start().
+void install_reconfig_route(telemetry::HttpEndpoint& endpoint,
+                            ReconfigurationActuator& actuator);
 
 }  // namespace ubac::reconfig

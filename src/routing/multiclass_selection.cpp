@@ -54,7 +54,7 @@ MulticlassSelectionResult select_routes_multiclass(
   // Incremental engine over the committed multi-class set; candidates are
   // probed against it (and in parallel on the pool) instead of cold
   // re-solving every committed route.
-  analysis::MulticlassEngine engine(graph, classes, options.fixed_point);
+  analysis::AnalysisEngine engine(graph, classes, options.fixed_point);
   engine.solve();
 
   for (const std::size_t demand_index : order) {
@@ -91,7 +91,8 @@ MulticlassSelectionResult select_routes_multiclass(
           paths.push_back(
               candidate_servers[static_cast<std::size_t>(path -
                                                          candidates.data())]);
-        auto probes = engine.probe_routes(demand, paths, options.pool);
+        auto probes = engine.probe_routes(paths, options.pool,
+                                           demand.class_index);
         for (std::size_t g = 0; g < group.size(); ++g) {
           if (!probes[g].safe()) continue;
           const Seconds own = probes[g].route_delay;
@@ -108,7 +109,7 @@ MulticlassSelectionResult select_routes_multiclass(
         for (const net::NodePath* path : group) {
           const auto c = static_cast<std::size_t>(path - candidates.data());
           analysis::RouteProbe probe =
-              engine.probe_route(demand, candidate_servers[c]);
+              engine.probe_route(candidate_servers[c], demand.class_index);
           if (!probe.safe()) continue;
           best.found = true;
           best.candidate = c;
@@ -129,7 +130,8 @@ MulticlassSelectionResult select_routes_multiclass(
     result.routes[demand_index] = candidates[best.candidate];
     result.server_routes[demand_index] = candidate_servers[best.candidate];
     dependency.add_route(candidate_servers[best.candidate]);
-    engine.commit_probe(demand, candidate_servers[best.candidate], best.probe);
+    engine.commit_probe(candidate_servers[best.candidate], best.probe,
+                        demand.class_index);
   }
 
   // Final cold verification, route delays in input-demand order.

@@ -19,8 +19,10 @@
 
 #include "admission/controller.hpp"
 #include "admission/telemetry.hpp"
+#include "analysis/engine.hpp"
 #include "net/shortest_path.hpp"
 #include "net/topology_factory.hpp"
+#include "reconfig/actuator.hpp"
 #include "telemetry/alerts.hpp"
 #include "telemetry/conformance.hpp"
 #include "telemetry/envelope.hpp"
@@ -204,6 +206,58 @@ TEST(HttpEndpoint, ConformanceRoutesServeMonitorState) {
 
   EXPECT_EQ(status_of(get(endpoint.port(), "/conformance/flows?top=-1")),
             400);
+  endpoint.stop();
+}
+
+// POST /reconfig: a malformed or invalid policy answers 400 and the
+// running policy stays in force; a valid update is applied and echoed.
+TEST(HttpEndpoint, ReconfigRouteRejectsInvalidPolicy) {
+  const auto topo = net::line(4);
+  const net::ServerGraph graph(topo, 6u);
+  const traffic::LeakyBucket bucket(640.0, units::kbps(32));
+  const Seconds deadline = units::milliseconds(100);
+  const auto classes = traffic::ClassSet::two_class(bucket, deadline, 0.05);
+  const auto demands = traffic::all_ordered_pairs(topo);
+  std::vector<net::ServerPath> routes;
+  for (const auto& d : demands)
+    routes.push_back(
+        graph.map_path(net::shortest_path(topo, d.src, d.dst).value()));
+  admission::AdmissionController ctl(
+      graph, classes, admission::RoutingTable(demands, routes));
+  analysis::AnalysisEngine engine(graph, 0.05, bucket, deadline);
+  for (const auto& route : routes) engine.add_route(route);
+  ASSERT_TRUE(engine.solve().safe());
+  AlertEngine alerts;
+  reconfig::ReconfigurationActuator actuator(engine, ctl, alerts,
+                                             reconfig::ActuationPolicy{});
+
+  HttpEndpoint::Options options;
+  options.port = 0;
+  HttpEndpoint endpoint(options);
+  reconfig::install_reconfig_route(endpoint, actuator);
+  endpoint.start();
+  auto post = [&](const std::string& query) {
+    return http_roundtrip(endpoint.port(), "POST /reconfig?" + query +
+                                               " HTTP/1.1\r\nHost: x\r\n"
+                                               "Content-Length: 0\r\n\r\n");
+  };
+
+  const std::string inverted = post("search_lo=0.5&search_hi=0.2");
+  EXPECT_EQ(status_of(inverted), 400);
+  EXPECT_NE(inverted.find("search_lo <= search_hi"), std::string::npos);
+  EXPECT_EQ(status_of(post("resolution=0")), 400);
+  EXPECT_EQ(status_of(post("max_step=abc")), 400);
+  EXPECT_EQ(status_of(post("cooldown_s=-1")), 400);
+  EXPECT_EQ(status_of(post("cooldown_s=nan")), 400);
+  EXPECT_DOUBLE_EQ(actuator.policy().search_lo, 0.01);
+  EXPECT_DOUBLE_EQ(actuator.policy().search_hi, 0.95);
+  EXPECT_DOUBLE_EQ(actuator.policy().resolution, 1e-3);
+
+  const std::string ok = post("search_lo=0.2&search_hi=0.5");
+  EXPECT_EQ(status_of(ok), 200);
+  EXPECT_NE(ok.find("\"search_hi\":0.5"), std::string::npos);
+  EXPECT_DOUBLE_EQ(actuator.policy().search_lo, 0.2);
+  EXPECT_EQ(status_of(get(endpoint.port(), "/reconfig")), 200);
   endpoint.stop();
 }
 

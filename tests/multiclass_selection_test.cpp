@@ -6,6 +6,7 @@
 #include "net/topology_factory.hpp"
 #include "routing/multiclass_selection.hpp"
 #include "traffic/workload.hpp"
+#include "util/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace ubac::routing {
@@ -56,6 +57,37 @@ TEST(MulticlassSelection, RoutesBothClassesSafely) {
   for (std::size_t i = 0; i < demands.size(); ++i)
     EXPECT_LE(result.solution.route_delay[i],
               classes.at(demands[i].class_index).deadline);
+}
+
+// Candidates are scored by parallel engine probes; the chosen routes and
+// the final verification must not depend on the thread count.
+TEST(MulticlassSelection, IdenticalAcrossThreadCounts) {
+  const auto topo = net::mci_backbone();
+  const net::ServerGraph graph(topo, 6u);
+  const auto demands = two_class_demands(topo, 60);
+  util::ThreadPool pool1(1);
+  util::ThreadPool pool8(8);
+  int successes = 0;
+  for (const double scale : {0.10, 0.16, 0.22}) {
+    const auto classes = scaled_class_set(voice_video_templates(), scale);
+    for (const bool pick_min_delay : {false, true}) {
+      HeuristicOptions one;
+      one.candidates_per_pair = 4;
+      one.pick_min_delay = pick_min_delay;
+      one.pool = &pool1;
+      HeuristicOptions many = one;
+      many.pool = &pool8;
+      const auto r1 = select_routes_multiclass(graph, classes, demands, one);
+      const auto r8 = select_routes_multiclass(graph, classes, demands, many);
+      EXPECT_EQ(r1.success, r8.success) << "scale=" << scale;
+      EXPECT_EQ(r1.failed_demand, r8.failed_demand) << "scale=" << scale;
+      EXPECT_EQ(r1.routes, r8.routes) << "scale=" << scale;
+      EXPECT_EQ(r1.solution.route_delay, r8.solution.route_delay);
+      EXPECT_EQ(r1.solution.class_server_delay, r8.solution.class_server_delay);
+      successes += r8.success;
+    }
+  }
+  EXPECT_GT(successes, 0);  // some selections run to the end
 }
 
 TEST(MulticlassSelection, FailsWhenSharesTooLarge) {

@@ -14,8 +14,11 @@
 //    thread that flaps the budgets; conservation and no-double-release
 //    must hold at drain.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
 
 #include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <set>
 #include <span>
 #include <thread>
@@ -282,6 +285,64 @@ TEST(Reconfig, ResearchAlphaRejectsBadBounds) {
   EXPECT_THROW(engine.research_alpha(0.5, 0.2), std::invalid_argument);
   EXPECT_THROW(engine.research_alpha(-0.1, 0.5), std::invalid_argument);
   EXPECT_THROW(engine.research_alpha(0.5, 1.5), std::invalid_argument);
+  EXPECT_THROW(engine.research_alpha(0.1, 0.5, 0.0), std::invalid_argument);
+  // lo = 0 is no share at all: rejected up front, not mid-search. From an
+  // unsafe seed the search would otherwise bisect down to alpha = 0 and
+  // throw with the engine left there.
+  auto unsafe = make_engine(f, 0.9);
+  ASSERT_FALSE(unsafe.solve().safe());
+  EXPECT_THROW(unsafe.research_alpha(0.0, 0.95), std::invalid_argument);
+  EXPECT_DOUBLE_EQ(unsafe.alpha(), 0.9);
+  EXPECT_DOUBLE_EQ(engine.alpha(), 0.05);
+  EXPECT_TRUE(engine.solve().safe());
+}
+
+// A rejected alpha leaves the engine exactly as it was: same alpha, same
+// committed delays, same verdict.
+TEST(Reconfig, SetAlphaStrongGuarantee) {
+  MciFixture f;
+  auto engine = make_engine(f, 0.30);
+  const analysis::DelaySolution before = engine.solve();
+  ASSERT_TRUE(before.safe());
+  for (const double bad : {1.5, 0.0, -0.2, std::nan("")}) {
+    EXPECT_THROW(engine.set_alpha(bad), std::invalid_argument) << bad;
+    EXPECT_DOUBLE_EQ(engine.alpha(), 0.30);
+    const analysis::DelaySolution& after = engine.solve();
+    EXPECT_TRUE(after.safe());
+    EXPECT_EQ(after.server_delay, before.server_delay);
+  }
+  // The oracle agrees the engine still runs at 0.30.
+  EXPECT_EQ(analysis::solve_two_class(f.graph, 0.30, kVoice, kDeadline,
+                                      f.routes)
+                .server_delay,
+            before.server_delay);
+}
+
+// Alpha moves are single-real-time-class operations: on a multi-class
+// engine they throw before touching anything.
+TEST(Reconfig, AlphaOperationsNeedOneRealtimeClass) {
+  MciFixture f;
+  ClassSet classes;
+  classes.add(traffic::ServiceClass("voice", kVoice, kDeadline, 0.1));
+  classes.add(traffic::ServiceClass("video", LeakyBucket(16000.0, kbps(1000)),
+                                    milliseconds(200.0), 0.1));
+  analysis::AnalysisEngine engine(f.graph, classes);
+  for (std::size_t r = 0; r < f.routes.size(); ++r)
+    engine.add_route(f.routes[r], r % 2);
+  const analysis::DelaySolution before = engine.solve();
+  ASSERT_TRUE(before.safe());
+  EXPECT_THROW(engine.set_alpha(0.2), std::logic_error);
+  EXPECT_THROW(engine.research_alpha(0.01, 0.5), std::logic_error);
+  EXPECT_DOUBLE_EQ(engine.alpha(), 0.1);
+  EXPECT_EQ(engine.solve().server_delay, before.server_delay);
+
+  // One real-time class plus best effort is a two-class engine.
+  analysis::AnalysisEngine two(f.graph, f.classes(0.05));
+  for (const auto& route : f.routes) two.add_route(route);
+  ASSERT_TRUE(two.solve().safe());
+  const auto research = two.research_alpha(0.01, 0.95, 1e-3);
+  auto reference = make_engine(f, 0.05);
+  EXPECT_EQ(research.alpha, reference.research_alpha(0.01, 0.95, 1e-3).alpha);
 }
 
 // ---------------------------------------------------------------------------
@@ -516,6 +577,72 @@ TEST(Reconfig, ActuatorDisabledPolicyIsInert) {
   actuator.set_policy(policy);
   actuator.on_tick();
   EXPECT_EQ(actuator.actuations(), 1u);
+}
+
+// Every policy bound is checked on construction and on set_policy; a
+// rejected update keeps the policy in force (the /reconfig POST path), so
+// a bad range can never reach research_alpha from the sampler hook.
+TEST(Reconfig, ActuationPolicyIsValidated) {
+  using reconfig::ActuationPolicy;
+  const auto with = [](auto mutate) {
+    ActuationPolicy p;
+    mutate(p);
+    return p;
+  };
+  const std::vector<std::pair<const char*, ActuationPolicy>> bad = {
+      {"inverted range", with([](ActuationPolicy& p) {
+         p.search_lo = 0.5;
+         p.search_hi = 0.2;
+       })},
+      {"lo = 0", with([](ActuationPolicy& p) { p.search_lo = 0.0; })},
+      {"hi > 1", with([](ActuationPolicy& p) { p.search_hi = 1.5; })},
+      {"NaN lo", with([](ActuationPolicy& p) { p.search_lo = std::nan(""); })},
+      {"resolution = 0", with([](ActuationPolicy& p) { p.resolution = 0.0; })},
+      {"max_step = 0", with([](ActuationPolicy& p) { p.max_step = 0.0; })},
+      {"min_delta < 0", with([](ActuationPolicy& p) { p.min_delta = -1e-3; })},
+      {"cooldown < 0", with([](ActuationPolicy& p) { p.cooldown_ns = -1; })},
+  };
+
+  ActuatorRig rig(0.05);
+  for (const auto& [what, policy] : bad)
+    EXPECT_THROW(rig.make_actuator(policy), std::invalid_argument) << what;
+
+  ActuationPolicy good;
+  good.search_lo = 0.02;
+  good.search_hi = 0.6;
+  auto actuator = rig.make_actuator(good);
+  for (const auto& [what, policy] : bad) {
+    EXPECT_THROW(actuator.set_policy(policy), std::invalid_argument) << what;
+    const ActuationPolicy kept = actuator.policy();
+    EXPECT_DOUBLE_EQ(kept.search_lo, 0.02) << what;
+    EXPECT_DOUBLE_EQ(kept.search_hi, 0.6) << what;
+    EXPECT_DOUBLE_EQ(kept.resolution, good.resolution) << what;
+    EXPECT_DOUBLE_EQ(kept.max_step, good.max_step) << what;
+    EXPECT_EQ(kept.cooldown_ns, good.cooldown_ns) << what;
+  }
+  // The degenerate-but-valid corner: a single-point range.
+  good.search_lo = good.search_hi = 0.3;
+  EXPECT_NO_THROW(actuator.set_policy(good));
+}
+
+// serve refuses an inverted re-search range up front: exit status 2 and
+// the usage text, before any socket is bound.
+TEST(Reconfig, ServeRejectsInvalidReconfigRange) {
+  const std::string command = std::string(UBAC_CONFIGTOOL_BIN) +
+                              " serve --reconfig-lo=0.5 --reconfig-hi=0.2"
+                              " --duration-s=1 2>&1";
+  FILE* pipe = popen(command.c_str(), "r");
+  ASSERT_NE(pipe, nullptr);
+  std::string output;
+  char buf[512];
+  while (std::fgets(buf, sizeof(buf), pipe) != nullptr) output += buf;
+  const int status = pclose(pipe);
+  ASSERT_TRUE(WIFEXITED(status)) << output;
+  EXPECT_EQ(WEXITSTATUS(status), 2) << output;
+  EXPECT_NE(output.find("search_lo <= search_hi"), std::string::npos)
+      << output;
+  EXPECT_NE(output.find("--reconfig-hi"), std::string::npos) << output;
+  EXPECT_EQ(output.find("listening"), std::string::npos) << output;
 }
 
 // ---------------------------------------------------------------------------

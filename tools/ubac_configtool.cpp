@@ -393,37 +393,6 @@ std::atomic<bool> g_interrupted{false};
 
 void on_interrupt(int) { g_interrupted.store(true, std::memory_order_relaxed); }
 
-/// Parse one double field of a /reconfig POST into `dst`. Returns false
-/// (and fills `error`) on a malformed value; absent fields are skipped.
-bool parse_policy_double(const telemetry::HttpRequest& request,
-                         const char* key, double& dst, std::string& error) {
-  const std::string raw = request.query_get(key);
-  if (raw.empty()) return true;
-  char* end = nullptr;
-  const double v = std::strtod(raw.c_str(), &end);
-  if (end == raw.c_str() || *end != '\0') {
-    error = std::string("bad ") + key + "\n";
-    return false;
-  }
-  dst = v;
-  return true;
-}
-
-bool parse_policy_bool(const telemetry::HttpRequest& request, const char* key,
-                       bool& dst, std::string& error) {
-  const std::string raw = request.query_get(key);
-  if (raw.empty()) return true;
-  if (raw == "1" || raw == "true") {
-    dst = true;
-  } else if (raw == "0" || raw == "false") {
-    dst = false;
-  } else {
-    error = std::string("bad ") + key + " (want 0/1/true/false)\n";
-    return false;
-  }
-  return true;
-}
-
 /// Long-running live-telemetry mode (docs/observability.md): configure a
 /// verified routing table, keep a paced Poisson churn running against the
 /// concurrent controller, and serve the scrape endpoints until SIGINT (or
@@ -432,6 +401,27 @@ bool parse_policy_bool(const telemetry::HttpRequest& request, const char* key,
 /// --actuate, a ReconfigurationActuator runs as a post-alert hook and the
 /// control loop is closed live (alerts -> alpha re-search -> budget swap).
 int cmd_serve(const util::ArgParser& args) {
+  // Actuation policy first: a bad range is a usage error, reported before
+  // anything is built or bound.
+  reconfig::ActuationPolicy policy;
+  policy.enabled = args.has("actuate");
+  policy.dry_run = args.has("dry-run");
+  const double cooldown_s = args.get_double("cooldown-s", 5.0);
+  policy.cooldown_ns = cooldown_s >= 0.0 && cooldown_s < 9e9
+                           ? static_cast<std::int64_t>(cooldown_s * 1e9)
+                           : -1;
+  policy.max_step = args.get_double("max-step", 0.05);
+  policy.search_lo = args.get_double("reconfig-lo", 0.01);
+  policy.search_hi = args.get_double("reconfig-hi", 0.95);
+  try {
+    policy.validate();
+  } catch (const std::invalid_argument& e) {
+    std::fprintf(stderr, "serve: %s (check --reconfig-lo/--reconfig-hi, "
+                 "--max-step, --cooldown-s)\n%s",
+                 e.what(), args.usage("ubac_configtool").c_str());
+    return 2;
+  }
+
   const auto topo = load_topology(args);
   const net::ServerGraph graph(topo, 6u);
   const auto bucket = bucket_from(args);
@@ -488,14 +478,6 @@ int cmd_serve(const util::ArgParser& args) {
   analysis::AnalysisEngine engine(graph, alpha, bucket, deadline);
   for (const auto& route : routes) engine.add_route(route);
   engine.solve();
-  reconfig::ActuationPolicy policy;
-  policy.enabled = args.has("actuate");
-  policy.dry_run = args.has("dry-run");
-  policy.cooldown_ns = static_cast<std::int64_t>(
-      args.get_double("cooldown-s", 5.0) * 1e9);
-  policy.max_step = args.get_double("max-step", 0.05);
-  policy.search_lo = args.get_double("reconfig-lo", 0.01);
-  policy.search_hi = args.get_double("reconfig-hi", 0.95);
   reconfig::ReconfigurationActuator::Options actuator_options;
   actuator_options.tracer = &tracer;
   actuator_options.metrics = &registry;
@@ -578,25 +560,7 @@ int cmd_serve(const util::ArgParser& args) {
       static_cast<std::uint16_t>(args.get_long("port", 9177));
   telemetry::HttpEndpoint http(http_options);
   telemetry::install_standard_routes(http, registry, &sampler, &alerts);
-  http.handle("/reconfig", [&actuator](const telemetry::HttpRequest& request) {
-    if (request.method == "POST") {
-      reconfig::ActuationPolicy p = actuator.policy();
-      std::string error;
-      double cooldown_s = static_cast<double>(p.cooldown_ns) / 1e9;
-      if (!parse_policy_bool(request, "enabled", p.enabled, error) ||
-          !parse_policy_bool(request, "dry_run", p.dry_run, error) ||
-          !parse_policy_double(request, "cooldown_s", cooldown_s, error) ||
-          !parse_policy_double(request, "max_step", p.max_step, error) ||
-          !parse_policy_double(request, "search_lo", p.search_lo, error) ||
-          !parse_policy_double(request, "search_hi", p.search_hi, error) ||
-          !parse_policy_double(request, "resolution", p.resolution, error) ||
-          !parse_policy_double(request, "min_delta", p.min_delta, error))
-        return telemetry::HttpResponse::text(error, 400);
-      p.cooldown_ns = static_cast<std::int64_t>(cooldown_s * 1e9);
-      actuator.set_policy(p);
-    }
-    return telemetry::HttpResponse::json(actuator.to_json());
-  });
+  reconfig::install_reconfig_route(http, actuator);
   if (conformance_on) {
     telemetry::install_conformance_routes(http, *monitor);
     // Ground truth for the polarity checks: which flow ids the
