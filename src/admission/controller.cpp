@@ -6,6 +6,7 @@
 #include "admission/telemetry.hpp"
 #include "telemetry/envelope.hpp"
 #include "telemetry/span.hpp"
+#include "util/stripe.hpp"
 
 namespace ubac::admission {
 
@@ -25,7 +26,8 @@ ConcurrentAdmissionController::ConcurrentAdmissionController(
     : graph_(&graph), classes_(&classes), table_(std::move(table)),
       servers_(graph.size()),
       slots_(std::make_unique<Slot[]>(classes.size() * graph.size())),
-      shards_(std::make_unique<Shard[]>(kShardCount)) {
+      shards_(std::make_unique<Shard[]>(kShardCount)),
+      id_cursors_(std::make_unique<IdCursor[]>(util::kStripes)) {
   // The fixed-point overflow proof (traffic/flow.hpp) only covers graphs
   // within the grid's static bounds; refuse anything larger up front.
   if (servers_ > traffic::kMaxServers)
@@ -118,6 +120,37 @@ bool ConcurrentAdmissionController::try_reserve(Slot& s, RateFx rho,
                            peak, now, std::memory_order_relaxed)) {
   }
   return true;
+}
+
+ConcurrentAdmissionController::IdRun ConcurrentAdmissionController::claim_ids(
+    std::size_t want) {
+  // Threads beyond util::kStripes share a cursor, so the cursor moves by
+  // CAS; with one thread per stripe the CAS never fails and its cache line
+  // never leaves the caller's core.
+  std::atomic<traffic::FlowId>& cursor =
+      id_cursors_[util::stripe_index()].next;
+  traffic::FlowId cur = cursor.load(std::memory_order_relaxed);
+  for (;;) {
+    if (cur % kIdBlock == 0) {  // no block yet, or the block is used up
+      const traffic::FlowId block =
+          next_block_.fetch_add(1, std::memory_order_relaxed);
+      // Block b holds ids [b * kIdBlock, (b + 1) * kIdBlock); id 0 is the
+      // registry's empty-slot marker, so block 0 starts at 1.
+      const traffic::FlowId first = block == 0 ? 1 : block << kIdBlockBits;
+      const std::size_t count = static_cast<std::size_t>(
+          std::min<traffic::FlowId>(want, (block + 1) * kIdBlock - first));
+      // A thread sharing the stripe may have installed a block meanwhile;
+      // then the rest of this one is left unused (ids stay unique).
+      cursor.compare_exchange_strong(cur, first + count,
+                                     std::memory_order_relaxed);
+      return {first, count};
+    }
+    const std::size_t count = static_cast<std::size_t>(
+        std::min<traffic::FlowId>(want, kIdBlock - cur % kIdBlock));
+    if (cursor.compare_exchange_weak(cur, cur + count,
+                                     std::memory_order_relaxed))
+      return {cur, count};
+  }
 }
 
 bool ConcurrentAdmissionController::route_for(
@@ -271,8 +304,7 @@ AdmissionDecision ConcurrentAdmissionController::request_impl(
   if (!route_for(src, dst, class_index, route, decision)) return decision;
   if (!reserve_route(route, class_index, decision)) return decision;
 
-  const traffic::FlowId id =
-      next_id_.fetch_add(1, std::memory_order_relaxed);
+  const traffic::FlowId id = claim_ids(1).first;
   FlowRecord record{id, route.path, static_cast<std::uint32_t>(class_index),
                     src, dst};
   {
@@ -280,7 +312,6 @@ AdmissionDecision ConcurrentAdmissionController::request_impl(
     std::lock_guard<std::mutex> lock(sh.mutex);
     sh.flows.insert(record);
   }
-  active_.fetch_add(1, std::memory_order_relaxed);
   // Conformance-plane registration: one relaxed-ordering gate load when
   // no ArrivalRecorder is installed (same pattern as UBAC_SPAN).
   if (auto* recorder = telemetry::ArrivalRecorder::active())
@@ -349,38 +380,29 @@ std::size_t ConcurrentAdmissionController::admit_batch_impl(
   const std::size_t admitted = hits.size();
   if (admitted == 0) return 0;
 
-  // Ids are consecutive: one fetch_add claims the whole block, and the
-  // j-th admitted request gets base + j — identical to what sequential
-  // request() calls would have assigned (rejected requests consume no id).
-  const traffic::FlowId base =
-      next_id_.fetch_add(admitted, std::memory_order_relaxed);
-  for (std::size_t j = 0; j < admitted; ++j)
-    results[hits[j].first].flow_id = base + j;
-
-  // Phase 2 — register, one lock acquisition per shard. Consecutive ids
-  // land on consecutive shards (shard = id mod kShardCount), so admitted
-  // request j belongs to shard (base + j) mod kShardCount: for each shard
-  // we walk the admitted subsequence starting at its first matching index
-  // with stride kShardCount.
-  for (std::size_t s = 0; s < kShardCount && s < admitted; ++s) {
-    const std::size_t first = s;  // admitted ordinal s hits shard of base+s
-    Shard& sh = shards_[(base + first) & (kShardCount - 1)];
+  // Phase 2 — number and register. Ids come from the caller's cursor in
+  // runs that each lie in one block, hence one shard: the j-th admitted
+  // request gets the j-th id drawn — identical to what sequential
+  // request() calls would have assigned (rejected requests consume no
+  // id) — and each run is registered under one lock.
+  for (std::size_t j = 0; j < admitted;) {
+    const IdRun run = claim_ids(admitted - j);
+    Shard& sh = shard(run.first);
     std::lock_guard<std::mutex> lock(sh.mutex);
-    for (std::size_t j = first; j < admitted; j += kShardCount) {
-      const std::size_t i = hits[j].first;
-      const traffic::Demand& d = requests[i];
-      sh.flows.insert(FlowRecord{base + j, hits[j].second,
+    for (std::size_t k = 0; k < run.count; ++k, ++j) {
+      const traffic::Demand& d = requests[hits[j].first];
+      const traffic::FlowId id = run.first + k;
+      results[hits[j].first].flow_id = id;
+      sh.flows.insert(FlowRecord{id, hits[j].second,
                                  static_cast<std::uint32_t>(d.class_index),
                                  d.src, d.dst});
     }
   }
-  active_.fetch_add(admitted, std::memory_order_relaxed);
   if (auto* recorder = telemetry::ArrivalRecorder::active())
-    for (std::size_t j = 0; j < admitted; ++j) {
-      const traffic::Demand& d = requests[hits[j].first];
-      recorder->on_admit(base + j,
-                         static_cast<std::uint32_t>(d.class_index));
-    }
+    for (const auto& hit : hits)
+      recorder->on_admit(results[hit.first].flow_id,
+                         static_cast<std::uint32_t>(
+                             requests[hit.first].class_index));
   return admitted;
 }
 
@@ -406,7 +428,6 @@ bool ConcurrentAdmissionController::release_impl(traffic::FlowId id) {
     std::lock_guard<std::mutex> lock(sh.mutex);
     if (!sh.flows.erase(id, record)) return false;  // unknown/double release
   }
-  active_.fetch_sub(1, std::memory_order_relaxed);
   if (auto* recorder = telemetry::ArrivalRecorder::active())
     recorder->on_release(id);
   const RateFx rho = rho_units_[record.class_index];
@@ -430,7 +451,8 @@ std::size_t ConcurrentAdmissionController::release_batch(
 
 std::size_t ConcurrentAdmissionController::release_batch_impl(
     std::span<const traffic::FlowId> ids, std::size_t& unknown) {
-  // Extract records shard by shard (each lock taken at most once), then
+  // Extract records shard by shard (each lock taken at most once; one
+  // caller's recent ids share a block, so usually one lock in all), then
   // return the reservations outside any lock.
   std::vector<FlowRecord> records;
   records.reserve(ids.size());
@@ -438,7 +460,7 @@ std::size_t ConcurrentAdmissionController::release_batch_impl(
     bool locked = false;
     std::unique_lock<std::mutex> lock(shards_[s].mutex, std::defer_lock);
     for (const traffic::FlowId id : ids) {
-      if ((id & (kShardCount - 1)) != s) continue;
+      if (shard_index(id) != s) continue;
       if (!locked) {
         lock.lock();
         locked = true;
@@ -451,7 +473,6 @@ std::size_t ConcurrentAdmissionController::release_batch_impl(
     }
   }
   if (records.empty()) return 0;
-  active_.fetch_sub(records.size(), std::memory_order_relaxed);
   if (auto* recorder = telemetry::ArrivalRecorder::active())
     for (const FlowRecord& record : records) recorder->on_release(record.id);
   for (const FlowRecord& record : records) {
@@ -492,6 +513,15 @@ traffic::RateUnits ConcurrentAdmissionController::limit_units(
   if (class_index >= classes_->size() || server >= servers_)
     throw std::out_of_range("limit_units: bad class or server");
   return limit(class_index, server);
+}
+
+std::size_t ConcurrentAdmissionController::active_flows() const {
+  std::size_t n = 0;
+  for (std::size_t s = 0; s < kShardCount; ++s) {
+    std::lock_guard<std::mutex> lock(shards_[s].mutex);
+    n += shards_[s].flows.size();
+  }
+  return n;
 }
 
 std::size_t ConcurrentAdmissionController::held_flow_bound() const {

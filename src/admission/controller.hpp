@@ -51,23 +51,34 @@
 /// conservative behaviour of optimistic admission and affects liveness
 /// statistics only, never the delay-safety property alpha certifies.
 ///
-/// The per-flow edge registry is sharded: flow ids are assigned from an
-/// atomic counter and mapped to one of kShardCount mutex-guarded flat
-/// maps (flow_registry.hpp), so registry updates scale with cores instead
-/// of serializing on one lock, and admit/release touch no allocator at
-/// steady state.
+/// ## Flow ids and the sharded registry
+///
+/// Besides the per-hop reservation counters, an admit or release writes
+/// no controller-wide word. Flow ids come in blocks of kIdBlock: each
+/// caller stripe (util::stripe_index(), the per-thread index metric
+/// counters use) hands out ids from its current block and takes the next
+/// free block from a block counter once every kIdBlock admits. One caller
+/// therefore gets 1, 2, 3, … exactly as SequentialAdmissionController
+/// does; concurrent callers get unique ids that interleave block by block.
+/// The per-flow edge registry is kShardCount mutex-guarded flat maps
+/// (flow_registry.hpp) and a flow's shard is its id block,
+/// `(id / kIdBlock) mod kShardCount`, so one caller's inserts and releases
+/// stay on one shard's lock line for a whole block, registry updates scale
+/// with cores, and admit/release touch no allocator at steady state.
+/// active_flows() sums the shard sizes.
 ///
 /// ## Batch admission
 ///
-/// `admit_batch()` runs k admission tests with one telemetry flush, one
-/// id-block allocation, and at most one lock acquisition per registry
-/// shard (requests grouped by shard before locking). Single-threaded it
-/// is decision-for-decision identical to k sequential `request()` calls —
-/// same admit set, same rejection reasons, same flow ids. Under
-/// concurrent interference each request still reserves through the same
-/// per-hop CAS, so a mid-batch capacity loss rejects exactly the
-/// requests that no longer fit and rolls back only their own partial
-/// reservations; already-committed batch members are unaffected.
+/// `admit_batch()` runs k admission tests with one telemetry flush and
+/// draws its ids from the caller's id cursor, registering each run of ids
+/// that shares a block under one lock (usually one lock per batch).
+/// Single-threaded it is decision-for-decision identical to k sequential
+/// `request()` calls — same admit set, same rejection reasons, same flow
+/// ids, also when the batch straddles an id block. Under concurrent
+/// interference each request still reserves through the same per-hop
+/// CAS, so a mid-batch capacity loss rejects exactly the requests that no
+/// longer fit and rolls back only their own partial reservations;
+/// already-committed batch members are unaffected.
 
 #include <atomic>
 #include <array>
@@ -153,8 +164,9 @@ class ConcurrentAdmissionController {
   /// Batch admission test: decide requests[i] into results[i] for every i,
   /// in order, and return the number admitted. Semantically equivalent to
   /// calling request() per element; amortizes flow-id allocation, registry
-  /// shard locking (one lock per shard per batch) and telemetry (one
-  /// counter flush and one sampled latency record per batch).
+  /// shard locking (one lock per id block the batch's ids span) and
+  /// telemetry (one counter flush and one sampled latency record per
+  /// batch).
   /// `results.size() >= requests.size()` is required.
   std::size_t admit_batch(std::span<const traffic::Demand> requests,
                           std::span<AdmissionDecision> results);
@@ -194,9 +206,9 @@ class ConcurrentAdmissionController {
   BitsPerSecond peak_reserved_rate(net::ServerId server,
                                    std::size_t class_index) const;
 
-  std::size_t active_flows() const {
-    return active_.load(std::memory_order_relaxed);
-  }
+  /// Registered flows: the sum of the shard sizes, each read under its
+  /// shard lock (exact at quiescence).
+  std::size_t active_flows() const;
 
   /// Upper bound on flows the controller can hold at once: the sum over
   /// servers and real-time classes of limit ÷ ρ. Every held flow takes
@@ -234,7 +246,10 @@ class ConcurrentAdmissionController {
   ///     priority order, so best-effort/statistical classes give ground
   ///     before guaranteed ones — registered flows are dropped newest
   ///     first (highest id), but only flows actually crossing a still
-  ///     over-committed hop, until every slot fits its new budget.
+  ///     over-committed hop, until every slot fits its new budget. Ids
+  ///     grow with admission order per caller; across concurrent callers
+  ///     they interleave by id block (see "Flow ids" above), so "newest"
+  ///     is per-caller id order, not a global admission order.
   ///
   /// Growing a class never sheds anything. Concurrent-safe against
   /// request()/release(); an admit racing the fence may commit against the
@@ -250,6 +265,9 @@ class ConcurrentAdmissionController {
   using RateFx = traffic::RateUnits;
 
   static constexpr std::size_t kShardCount = 16;  // power of two
+  static constexpr unsigned kIdBlockBits = 6;
+  static constexpr traffic::FlowId kIdBlock = traffic::FlowId{1}
+                                              << kIdBlockBits;
 
   /// One (class, server) reservation cell; cache-line padded so counters
   /// of adjacent servers never false-share. The budget lives in the same
@@ -270,6 +288,18 @@ class ConcurrentAdmissionController {
     FlowShardMap flows;
   };
 
+  /// One caller stripe's id cursor: the next id it hands out, 0 before
+  /// its first block. A multiple of kIdBlock means the block is used up.
+  struct alignas(64) IdCursor {
+    std::atomic<traffic::FlowId> next{0};
+  };
+
+  /// A run of consecutive ids inside one block.
+  struct IdRun {
+    traffic::FlowId first = 0;
+    std::size_t count = 0;
+  };
+
   Slot& slot(std::size_t class_index, net::ServerId server) const {
     return slots_[class_index * servers_ + server];
   }
@@ -277,9 +307,14 @@ class ConcurrentAdmissionController {
     return slots_[class_index * servers_ + server].limit.load(
         std::memory_order_relaxed);
   }
-  Shard& shard(traffic::FlowId id) const {
-    return shards_[id & (kShardCount - 1)];
+  static std::size_t shard_index(traffic::FlowId id) {
+    return static_cast<std::size_t>(id >> kIdBlockBits) & (kShardCount - 1);
   }
+  Shard& shard(traffic::FlowId id) const { return shards_[shard_index(id)]; }
+
+  /// Claim between 1 and `want` consecutive ids, all in one block, from
+  /// the calling thread's stripe cursor.
+  IdRun claim_ids(std::size_t want);
 
   /// CAS loop for one hop: add `rho` iff the result stays within `cap`.
   static bool try_reserve(Slot& s, RateFx rho, RateFx cap);
@@ -358,8 +393,8 @@ class ConcurrentAdmissionController {
   /// admits; only whole swaps are mutually exclusive).
   std::mutex reconfig_mutex_;
   mutable std::unique_ptr<Shard[]> shards_;
-  std::atomic<traffic::FlowId> next_id_{1};
-  std::atomic<std::size_t> active_{0};
+  std::unique_ptr<IdCursor[]> id_cursors_;  ///< one per util::kStripes
+  std::atomic<traffic::FlowId> next_block_{0};
   ControllerTelemetry* telemetry_ = nullptr;
 };
 

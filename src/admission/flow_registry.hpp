@@ -13,9 +13,12 @@
 /// allocator at steady state (growth doubles the array, amortized O(1)).
 ///
 /// Not thread-safe by itself: each controller shard wraps one map in its
-/// shard mutex. Flow ids are unique for the life of a controller (a
-/// monotone counter), which is why insert() may take the first free slot
-/// without a duplicate probe.
+/// shard mutex. Flow ids are unique for the life of a controller (each
+/// caller hands out ids from its own 64-id block and every block is taken
+/// once from a block counter), which is why insert() may take the first
+/// free slot without a duplicate probe. Ids are neither dense nor
+/// globally ordered under concurrency; the Fibonacci hash below does not
+/// need them to be.
 
 #include <cstdint>
 #include <vector>
@@ -35,7 +38,7 @@ struct FlowRecord {
 };
 
 /// Flat linear-probing map keyed by flow id. Ids 0 and ~0 are reserved as
-/// slot markers (the controller's id counter starts at 1).
+/// slot markers (the controller never assigns id 0).
 class FlowShardMap {
  public:
   static constexpr traffic::FlowId kTombstone = ~traffic::FlowId{0};

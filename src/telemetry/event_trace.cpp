@@ -3,8 +3,11 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <functional>
 #include <thread>
+
+#include "util/stripe.hpp"
 
 namespace ubac::telemetry {
 
@@ -71,7 +74,8 @@ const char* to_string(TraceEventKind kind) {
 EventTracer::EventTracer(std::size_t capacity, double sampling)
     : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
       sampling_(sampling),
-      slots_(std::make_unique<Slot[]>(capacity_)) {}
+      slots_(std::make_unique<Slot[]>(capacity_)),
+      buffers_(std::make_unique<Buffer[]>(util::kStripes)) {}
 
 bool EventTracer::should_sample() noexcept {
   if (sampling_ >= 1.0) return true;
@@ -103,11 +107,60 @@ bool EventTracer::should_sample() noexcept {
   return true;
 }
 
+void EventTracer::lock(Buffer& buf) noexcept {
+  const std::uint32_t mine = buf.ticket.fetch_add(1, std::memory_order_relaxed);
+  // The holder is inside one append or one flush (well under a
+  // microsecond), so spin before giving the core away; yield only when
+  // it has been descheduled.
+  constexpr unsigned kSpinsBeforeYield = 4096;
+  for (unsigned spins = 0;
+       buf.serving.load(std::memory_order_acquire) != mine; ++spins)
+    if (spins >= kSpinsBeforeYield) std::this_thread::yield();
+}
+
+void EventTracer::unlock(Buffer& buf) noexcept {
+  buf.serving.store(buf.serving.load(std::memory_order_relaxed) + 1,
+                    std::memory_order_release);
+}
+
 void EventTracer::record(TraceEvent ev) noexcept {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
-  ev.seq = seq;
   if (ev.timestamp_ns == 0) ev.timestamp_ns = now_ns();
-  Slot& slot = slots_[seq & (capacity_ - 1)];
+  Buffer& buf = buffers_[util::stripe_index()];
+  lock(buf);
+  buf.events[buf.size++] = ev;
+  if (buf.size == kBufferEvents) flush(buf);
+  unlock(buf);
+}
+
+void EventTracer::flush(Buffer& buf) const noexcept {
+  const std::uint64_t n = buf.size;
+  if (n == 0) return;
+  buf.size = 0;
+  const std::uint64_t base = head_.fetch_add(n, std::memory_order_acq_rel);
+  // A block longer than the ring overwrites its own head; only its last
+  // `capacity_` events can survive, so only those are written.
+  for (std::uint64_t i = n > capacity_ ? n - capacity_ : 0; i < n; ++i) {
+    buf.events[i].seq = base + i;
+    publish(buf.events[i]);
+  }
+}
+
+void EventTracer::flush_all() const noexcept {
+  for (std::size_t s = 0; s < util::kStripes; ++s) {
+    Buffer& buf = buffers_[s];
+    lock(buf);
+    flush(buf);
+    unlock(buf);
+  }
+}
+
+std::uint64_t EventTracer::recorded() const noexcept {
+  flush_all();
+  return head_.load(std::memory_order_acquire);
+}
+
+void EventTracer::publish(const TraceEvent& ev) const noexcept {
+  Slot& slot = slots_[ev.seq & (capacity_ - 1)];
   // Per-slot seqlock with writer exclusion. Two writers meet at one slot
   // only when one has been lapped by a whole ring rotation; without
   // exclusion their payload copies would race. The stamp holds
@@ -118,7 +171,7 @@ void EventTracer::record(TraceEvent ev) noexcept {
   //   * a writer that finds an older claim mid-write waits it out (bounded
   //     by one payload copy), then takes the slot;
   // which guarantees the newest seq's payload is what quiesces in place.
-  const std::uint64_t published = 2 * (seq + 1);
+  const std::uint64_t published = 2 * (ev.seq + 1);
   std::uint64_t cur = slot.stamp.load(std::memory_order_relaxed);
   for (;;) {
     if (cur >= published) return;  // lapped: a newer event owns this slot
@@ -131,11 +184,15 @@ void EventTracer::record(TraceEvent ev) noexcept {
                                          std::memory_order_relaxed))
       break;
   }
-  slot.ev = ev;
+  std::uint64_t words[kEventWords];
+  std::memcpy(words, &ev, sizeof(ev));
+  for (std::size_t i = 0; i < kEventWords; ++i)
+    slot.words[i].store(words[i], std::memory_order_relaxed);
   slot.stamp.store(published, std::memory_order_release);
 }
 
 std::vector<TraceEvent> EventTracer::snapshot() const {
+  flush_all();
   const std::uint64_t head = head_.load(std::memory_order_acquire);
   const std::uint64_t n = head < capacity_ ? head : capacity_;
   std::vector<TraceEvent> events;
@@ -143,11 +200,15 @@ std::vector<TraceEvent> EventTracer::snapshot() const {
   for (std::uint64_t seq = head - n; seq < head; ++seq) {
     const Slot& slot = slots_[seq & (capacity_ - 1)];
     const std::uint64_t published = 2 * (seq + 1);
-    const std::uint64_t before = slot.stamp.load(std::memory_order_acquire);
-    if (before != published) continue;  // mid-write or already overwritten
-    TraceEvent ev = slot.ev;
-    if (slot.stamp.load(std::memory_order_acquire) != published) continue;
-    events.push_back(ev);
+    if (slot.stamp.load(std::memory_order_acquire) != published)
+      continue;  // mid-write or already overwritten
+    std::uint64_t words[kEventWords];
+    for (std::size_t i = 0; i < kEventWords; ++i)
+      words[i] = slot.words[i].load(std::memory_order_relaxed);
+    std::atomic_thread_fence(std::memory_order_acquire);
+    if (slot.stamp.load(std::memory_order_relaxed) != published) continue;
+    TraceEvent& ev = events.emplace_back();
+    std::memcpy(&ev, words, sizeof(ev));
   }
   return events;
 }

@@ -4,22 +4,8 @@
 #include <atomic>
 #include <cmath>
 #include <stdexcept>
-#include <thread>
 
 namespace ubac::telemetry {
-
-namespace detail {
-
-std::size_t stripe_index() noexcept {
-  // One stripe per thread for up to kStripes live threads; beyond that
-  // threads share stripes, which costs contention but never correctness.
-  static std::atomic<std::size_t> next{0};
-  thread_local const std::size_t idx =
-      next.fetch_add(1, std::memory_order_relaxed) % kStripes;
-  return idx;
-}
-
-}  // namespace detail
 
 const char* to_string(InstrumentKind kind) {
   switch (kind) {
@@ -31,24 +17,27 @@ const char* to_string(InstrumentKind kind) {
 }
 
 LatencyHistogram::LatencyHistogram(std::vector<double> upper_bounds)
-    : bounds_(std::move(upper_bounds)), stripes_(detail::kStripes) {
+    : bounds_(std::move(upper_bounds)),
+      lines_per_stripe_((bounds_.size() + BucketLine::kCells) /
+                        BucketLine::kCells),
+      buckets_(std::make_unique<BucketLine[]>(util::kStripes *
+                                              lines_per_stripe_)),
+      stripes_(util::kStripes) {
   if (bounds_.empty())
     throw std::invalid_argument("LatencyHistogram: no buckets");
   for (std::size_t i = 1; i < bounds_.size(); ++i)
     if (!(bounds_[i] > bounds_[i - 1]))
       throw std::invalid_argument(
           "LatencyHistogram: bounds must be strictly increasing");
-  for (auto& stripe : stripes_)
-    stripe.buckets =
-        std::make_unique<std::atomic<std::uint64_t>[]>(bounds_.size() + 1);
 }
 
 void LatencyHistogram::record(double v) noexcept {
   // First bucket whose upper bound is >= v (`le` semantics); +Inf last.
   const auto it = std::lower_bound(bounds_.begin(), bounds_.end(), v);
-  const auto bucket = static_cast<std::size_t>(it - bounds_.begin());
-  Stripe& stripe = stripes_[detail::stripe_index()];
-  stripe.buckets[bucket].fetch_add(1, std::memory_order_relaxed);
+  const auto b = static_cast<std::size_t>(it - bounds_.begin());
+  const std::size_t s = util::stripe_index();
+  bucket(s, b).fetch_add(1, std::memory_order_relaxed);
+  Stripe& stripe = stripes_[s];
   stripe.count.fetch_add(1, std::memory_order_relaxed);
   double cur = stripe.sum.load(std::memory_order_relaxed);
   while (!stripe.sum.compare_exchange_weak(cur, cur + v,
@@ -72,9 +61,9 @@ double LatencyHistogram::sum() const noexcept {
 
 std::vector<std::uint64_t> LatencyHistogram::bucket_counts() const {
   std::vector<std::uint64_t> counts(bounds_.size() + 1, 0);
-  for (const auto& stripe : stripes_)
+  for (std::size_t s = 0; s < util::kStripes; ++s)
     for (std::size_t b = 0; b < counts.size(); ++b)
-      counts[b] += stripe.buckets[b].load(std::memory_order_relaxed);
+      counts[b] += bucket(s, b).load(std::memory_order_relaxed);
   return counts;
 }
 

@@ -9,9 +9,9 @@
 /// on the update path:
 ///
 ///  * Counter          — monotonically increasing, exact. Updates go to one
-///                       of kStripes cache-line-padded atomic cells chosen
-///                       by a per-thread index, so concurrent writers do
-///                       not contend; value() sums the stripes.
+///                       of util::kStripes cache-line-padded atomic cells
+///                       chosen by util::stripe_index(), so concurrent
+///                       writers do not contend; value() sums the stripes.
 ///  * Gauge            — last-set-wins double (one relaxed atomic store).
 ///  * LatencyHistogram — fixed upper-bound buckets (Prometheus `le`
 ///                       semantics: a sample lands in the first bucket
@@ -35,6 +35,8 @@
 #include <utility>
 #include <vector>
 
+#include "util/stripe.hpp"
+
 namespace ubac::telemetry {
 
 /// Ordered (key, value) label pairs attached to one series.
@@ -42,23 +44,8 @@ using Labels = std::vector<std::pair<std::string, std::string>>;
 
 namespace detail {
 
-inline constexpr std::size_t kStripes = 16;
-
-/// Stable per-thread stripe index (threads hash to one of kStripes cells).
-std::size_t stripe_index() noexcept;
-
 struct alignas(64) U64Cell {
   std::atomic<std::uint64_t> v{0};
-};
-
-struct alignas(64) F64Cell {
-  std::atomic<double> v{0.0};
-
-  void add(double x) noexcept {
-    double cur = v.load(std::memory_order_relaxed);
-    while (!v.compare_exchange_weak(cur, cur + x, std::memory_order_relaxed)) {
-    }
-  }
 };
 
 }  // namespace detail
@@ -67,7 +54,7 @@ struct alignas(64) F64Cell {
 class Counter {
  public:
   void add(std::uint64_t n = 1) noexcept {
-    cells_[detail::stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
+    cells_[util::stripe_index()].v.fetch_add(n, std::memory_order_relaxed);
   }
 
   std::uint64_t value() const noexcept {
@@ -77,7 +64,7 @@ class Counter {
   }
 
  private:
-  detail::U64Cell cells_[detail::kStripes];
+  detail::U64Cell cells_[util::kStripes];
 };
 
 /// Last-set-wins double gauge.
@@ -116,13 +103,27 @@ class LatencyHistogram {
                                                 std::size_t n);
 
  private:
+  /// One cache line of bucket counts.
+  struct alignas(64) BucketLine {
+    static constexpr std::size_t kCells = 64 / sizeof(std::uint64_t);
+    std::atomic<std::uint64_t> cells[kCells];
+  };
   struct alignas(64) Stripe {
-    std::unique_ptr<std::atomic<std::uint64_t>[]> buckets;
     std::atomic<std::uint64_t> count{0};
     std::atomic<double> sum{0.0};
   };
 
+  /// Bucket b of stripe s. Each stripe's buckets fill whole cache lines
+  /// of one shared allocation, so writers on adjacent stripes never touch
+  /// the same line.
+  std::atomic<std::uint64_t>& bucket(std::size_t s, std::size_t b) const {
+    return buckets_[s * lines_per_stripe_ + b / BucketLine::kCells]
+        .cells[b % BucketLine::kCells];
+  }
+
   std::vector<double> bounds_;
+  std::size_t lines_per_stripe_;
+  std::unique_ptr<BucketLine[]> buckets_;
   std::vector<Stripe> stripes_;
 };
 

@@ -5,6 +5,7 @@
 // -DUBAC_SANITIZE=thread.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <atomic>
 #include <barrier>
@@ -13,6 +14,7 @@
 #include <vector>
 
 #include "admission/controller.hpp"
+#include "admission/sequential_controller.hpp"
 #include "net/shortest_path.hpp"
 #include "net/topology_factory.hpp"
 #include "traffic/workload.hpp"
@@ -470,6 +472,124 @@ TEST(ConcurrentAdmission, ConservationUnderMixedBatchAndSingleChurn) {
   EXPECT_EQ(ctl.active_flows(), 0u);
   for (net::ServerId s = 0; s < f.graph.size(); ++s)
     ASSERT_EQ(ctl.reserved_units(s, 0), 0u);
+}
+
+// More callers than stripes: 24 threads run at once, so several pairs
+// share one flow-id cursor and its registry traffic. Ids must still be
+// unique over the whole run, the ledger conserved, and active_flows()
+// exact once the callers have joined.
+TEST(ConcurrentAdmission, SharedStripesKeepIdsUniqueAndLedgerConserved) {
+  constexpr std::size_t kThreads = 24;
+  constexpr std::size_t kItersPerThread = 4'000;
+
+  MciFixture f;
+  AdmissionController ctl(f.graph, f.classes, f.table);
+  std::vector<WorkerTally> tallies(kThreads);
+  std::vector<std::vector<traffic::FlowId>> assigned(kThreads);
+  std::barrier start(static_cast<std::ptrdiff_t>(kThreads));
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      util::Xoshiro256 rng(0x5719E + t);
+      WorkerTally& tally = tallies[t];
+      start.arrive_and_wait();
+      for (std::size_t k = 0; k < kItersPerThread; ++k) {
+        if (!tally.held.empty() && rng.bernoulli(0.45)) {
+          const auto pos = rng.uniform_index(tally.held.size());
+          EXPECT_TRUE(ctl.release(tally.held[pos])) << "own flow vanished";
+          tally.held[pos] = tally.held.back();
+          tally.held.pop_back();
+        } else {
+          const auto& d = f.demands[rng.uniform_index(f.demands.size())];
+          const auto decision = ctl.request(d.src, d.dst, d.class_index);
+          if (decision.admitted()) {
+            tally.held.push_back(decision.flow_id);
+            assigned[t].push_back(decision.flow_id);
+          }
+        }
+      }
+    });
+  for (auto& w : workers) w.join();
+
+  std::vector<traffic::FlowId> all;
+  std::size_t total_held = 0;
+  for (std::size_t t = 0; t < kThreads; ++t) {
+    all.insert(all.end(), assigned[t].begin(), assigned[t].end());
+    total_held += tallies[t].held.size();
+  }
+  ASSERT_FALSE(all.empty());
+  std::sort(all.begin(), all.end());
+  EXPECT_EQ(std::adjacent_find(all.begin(), all.end()), all.end())
+      << "a flow id was assigned twice";
+  EXPECT_EQ(all.front(), 1u);  // id 0 is never assigned
+  EXPECT_EQ(ctl.active_flows(), total_held);
+
+  std::vector<std::size_t> crossing(f.graph.size(), 0);
+  for (const auto& tally : tallies)
+    for (const traffic::FlowId id : tally.held) {
+      const auto flow = ctl.find_flow(id);
+      ASSERT_TRUE(flow.has_value()) << "flow " << id;
+      for (const net::ServerId s : *flow->route) ++crossing[s];
+    }
+  const traffic::RateUnits rho = f.classes.at(0).spec.rate_units;
+  for (net::ServerId s = 0; s < f.graph.size(); ++s) {
+    EXPECT_EQ(ctl.reserved_units(s, 0), crossing[s] * rho) << "server " << s;
+    EXPECT_LE(ctl.peak_reserved_rate(s, 0),
+              traffic::bps_from_units(ctl.limit_units(s, 0)))
+        << "server " << s;
+  }
+
+  for (const auto& tally : tallies)
+    for (const traffic::FlowId id : tally.held) ASSERT_TRUE(ctl.release(id));
+  EXPECT_EQ(ctl.active_flows(), 0u);
+  for (net::ServerId s = 0; s < f.graph.size(); ++s)
+    EXPECT_EQ(ctl.reserved_units(s, 0), 0u);
+}
+
+// Flow ids come in blocks of 64 per caller. A single caller's batch that
+// crosses from one block into the next must still number its admits
+// exactly as the sequential oracle does, and register them all.
+TEST(ConcurrentAdmission, BatchStraddlingAnIdBlockMatchesTheOracle) {
+  MciFixture f;
+  const ClassSet roomy = ClassSet::two_class(kVoice, milliseconds(100), 0.5);
+  AdmissionController ctl(f.graph, roomy, f.table);
+  SequentialAdmissionController oracle(f.graph, roomy, f.table);
+
+  // 60 single admits leave the caller four ids short of its first block's
+  // end; the 16-request batch then runs from id 61 to id 76.
+  for (std::size_t i = 0; i < 60; ++i) {
+    const auto& d = f.demands[i];
+    const auto got = ctl.request(d.src, d.dst, d.class_index);
+    const auto want = oracle.request(d.src, d.dst, d.class_index);
+    ASSERT_TRUE(want.admitted());
+    ASSERT_EQ(got.outcome, want.outcome);
+    ASSERT_EQ(got.flow_id, want.flow_id);
+  }
+  std::vector<traffic::Demand> wave(f.demands.begin() + 60,
+                                    f.demands.begin() + 76);
+  std::vector<AdmissionDecision> decisions(wave.size());
+  ASSERT_EQ(ctl.admit_batch(wave, decisions), wave.size());
+  for (std::size_t i = 0; i < wave.size(); ++i) {
+    const auto want =
+        oracle.request(wave[i].src, wave[i].dst, wave[i].class_index);
+    ASSERT_TRUE(want.admitted());
+    EXPECT_EQ(decisions[i].flow_id, want.flow_id) << "batch slot " << i;
+    EXPECT_EQ(decisions[i].flow_id, 61 + i);
+    const auto flow = ctl.find_flow(decisions[i].flow_id);
+    ASSERT_TRUE(flow.has_value()) << "batch slot " << i;
+    EXPECT_EQ(flow->src, wave[i].src);
+    EXPECT_EQ(flow->dst, wave[i].dst);
+  }
+  EXPECT_EQ(ctl.active_flows(), oracle.active_flows());
+  for (net::ServerId s = 0; s < f.graph.size(); ++s)
+    EXPECT_DOUBLE_EQ(ctl.reserved_rate(s, 0), oracle.reserved_rate(s, 0))
+        << "server " << s;
+
+  // Releasing the straddling batch as one batch frees every flow.
+  std::vector<traffic::FlowId> ids;
+  for (const auto& d : decisions) ids.push_back(d.flow_id);
+  EXPECT_EQ(ctl.release_batch(ids), ids.size());
+  EXPECT_EQ(ctl.active_flows(), 60u);
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -113,6 +114,29 @@ TEST(TelemetryHistogram, ExactUnderConcurrentUpdates) {
   EXPECT_EQ(counts[1], kThreads * 16'666u);            // value 2
   EXPECT_EQ(counts[2], 0u);
   EXPECT_EQ(counts[3], 0u);
+}
+
+// Bounds spanning three cache lines of buckets per stripe: every bucket,
+// including the +Inf one, keeps an exact count under concurrent writers.
+TEST(TelemetryHistogram, BucketsAcrossSeveralLinesStayExact) {
+  std::vector<double> bounds;
+  for (int b = 1; b <= 20; ++b) bounds.push_back(static_cast<double>(b));
+  LatencyHistogram hist(bounds);
+  constexpr std::uint64_t kRounds = 2'000;
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&] {
+      for (std::uint64_t i = 0; i < kRounds; ++i)
+        for (int v = 1; v <= 21; ++v) hist.record(static_cast<double>(v));
+    });
+  for (auto& w : workers) w.join();
+  const auto counts = hist.bucket_counts();
+  ASSERT_EQ(counts.size(), 21u);
+  for (std::size_t b = 0; b < counts.size(); ++b)
+    EXPECT_EQ(counts[b], kThreads * kRounds) << "bucket " << b;
+  EXPECT_EQ(hist.count(), 21 * kThreads * kRounds);
+  EXPECT_DOUBLE_EQ(hist.sum(),
+                   static_cast<double>(231 * kThreads * kRounds));
 }
 
 TEST(TelemetryHistogram, QuantileInterpolatesAndHandlesEmpty) {
@@ -293,6 +317,147 @@ TEST(EventTracer, JsonAndCsvCarryTheEvents) {
   EXPECT_NE(text.str().find("reject"), std::string::npos);
   EXPECT_NE(text.str().find("0.875"), std::string::npos);
   std::remove(path.c_str());
+}
+
+// Writers that stop mid-buffer: recorded() and snapshot() flush the
+// pending events themselves, so nothing written is missing and the
+// sequence numbers are dense.
+TEST(EventTracer, ExactAfterWritersJoinWithoutExplicitFlush) {
+  EventTracer tracer(8192, 1.0);
+  constexpr std::uint64_t kPerThread = 1'003;  // not a multiple of 16
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kThreads; ++t)
+    workers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; i < kPerThread; ++i) {
+        TraceEvent ev;
+        ev.flow_id = t * kPerThread + i;
+        ev.timestamp_ns = 1;
+        tracer.record(ev);
+      }
+    });
+  for (auto& w : workers) w.join();
+  EXPECT_EQ(tracer.recorded(), kThreads * kPerThread);
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), kThreads * kPerThread);
+  std::set<std::uint64_t> flows;
+  for (std::size_t i = 0; i < events.size(); ++i) {
+    EXPECT_EQ(events[i].seq, i);
+    flows.insert(events[i].flow_id);
+  }
+  EXPECT_EQ(flows.size(), kThreads * kPerThread);
+  // One thread's events keep their order.
+  std::vector<std::uint64_t> last(kThreads, 0);
+  std::vector<bool> seen(kThreads, false);
+  for (const auto& ev : events) {
+    const std::size_t t = ev.flow_id / kPerThread;
+    if (seen[t]) EXPECT_GT(ev.flow_id, last[t]);
+    seen[t] = true;
+    last[t] = ev.flow_id;
+  }
+}
+
+// Readers snapshot while writers flush: every returned event is whole
+// (its payload fields agree with each other) and sequence numbers only
+// grow. Under ThreadSanitizer this also checks the ring's payload copies.
+TEST(EventTracer, SnapshotsDuringWritesReturnWholeEvents) {
+  EventTracer tracer(256, 1.0);
+  constexpr std::size_t kWriters = 4;
+  constexpr std::size_t kSnapshots = 200;
+  std::atomic<bool> stop{false};
+  std::atomic<std::size_t> started{0};
+  std::vector<std::uint64_t> written(kWriters, 0);
+  std::vector<std::thread> workers;
+  for (std::size_t t = 0; t < kWriters; ++t)
+    workers.emplace_back([&, t] {
+      for (std::uint64_t i = 0; !stop.load(std::memory_order_relaxed); ++i) {
+        TraceEvent ev;
+        ev.flow_id = (std::uint64_t{t} << 40) + i;
+        ev.src = static_cast<std::uint32_t>(ev.flow_id);
+        ev.dst = static_cast<std::uint32_t>(~ev.flow_id);
+        ev.utilization = static_cast<double>(ev.flow_id);
+        ev.timestamp_ns = 1;
+        tracer.record(ev);
+        if (i == 0) started.fetch_add(1);
+        written[t] = i + 1;
+      }
+    });
+  while (started.load() < kWriters) std::this_thread::yield();
+  std::size_t checked = 0, torn = 0, unordered = 0;
+  for (std::size_t n = 0; n < kSnapshots; ++n) {
+    const auto events = tracer.snapshot();
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      const TraceEvent& ev = events[i];
+      if (ev.src != static_cast<std::uint32_t>(ev.flow_id) ||
+          ev.dst != static_cast<std::uint32_t>(~ev.flow_id) ||
+          ev.utilization != static_cast<double>(ev.flow_id))
+        ++torn;
+      if (i > 0 && ev.seq <= events[i - 1].seq) ++unordered;
+      ++checked;
+    }
+  }
+  stop.store(true);
+  for (auto& w : workers) w.join();
+  std::uint64_t total = 0;
+  for (const std::uint64_t n : written) total += n;
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(torn, 0u);
+  EXPECT_EQ(unordered, 0u);
+  EXPECT_EQ(tracer.recorded(), total);
+  const auto events = tracer.snapshot();
+  ASSERT_EQ(events.size(), std::min<std::uint64_t>(total, tracer.capacity()));
+  EXPECT_EQ(events.back().seq, total - 1);
+}
+
+// A ring smaller than one 16-event buffer still ends up holding exactly
+// the last `capacity` events, across full and partial flushes.
+TEST(EventTracer, CapacityBelowTheBufferKeepsTheLastEvents) {
+  for (const std::size_t capacity : {1u, 4u, 8u}) {
+    EventTracer tracer(capacity, 1.0);
+    constexpr std::uint64_t kEvents = 37;  // two full buffers + 5 pending
+    for (std::uint64_t i = 0; i < kEvents; ++i) {
+      TraceEvent ev;
+      ev.flow_id = 100 + i;
+      ev.timestamp_ns = 1;
+      tracer.record(ev);
+    }
+    EXPECT_EQ(tracer.recorded(), kEvents);
+    const auto events = tracer.snapshot();
+    ASSERT_EQ(events.size(), capacity) << "capacity " << capacity;
+    for (std::size_t i = 0; i < capacity; ++i) {
+      const std::uint64_t seq = kEvents - capacity + i;
+      EXPECT_EQ(events[i].seq, seq) << "capacity " << capacity;
+      EXPECT_EQ(events[i].flow_id, 100 + seq) << "capacity " << capacity;
+    }
+  }
+}
+
+// Pending buffers belong to their tracer: two tracers fed alternately by
+// one thread each number their own events densely from 0.
+TEST(EventTracer, TwoTracersInterleavedOnOneThreadKeepDenseSeqs) {
+  EventTracer a(64, 1.0), b(64, 1.0);
+  std::vector<std::uint64_t> into_a, into_b;
+  const auto put = [](EventTracer& tracer, std::vector<std::uint64_t>& log,
+                      std::uint64_t flow) {
+    TraceEvent ev;
+    ev.timestamp_ns = 1;
+    ev.flow_id = flow;
+    tracer.record(ev);
+    log.push_back(flow);
+  };
+  for (std::uint64_t i = 0; i < 40; ++i) {
+    put(a, into_a, i);
+    put(b, into_b, 1'000 + i);
+    if (i % 3 == 0) put(a, into_a, 2'000 + i);  // puts the buffers out of step
+  }
+  for (const auto& [tracer, log] :
+       {std::pair{&a, &into_a}, std::pair{&b, &into_b}}) {
+    const auto events = tracer->snapshot();
+    ASSERT_EQ(events.size(), log->size());
+    for (std::size_t i = 0; i < events.size(); ++i) {
+      EXPECT_EQ(events[i].seq, i);
+      EXPECT_EQ(events[i].flow_id, (*log)[i]);
+    }
+  }
 }
 
 // ---------------------------------------------------------------------------
@@ -588,9 +753,10 @@ TEST(ControllerTelemetry, SequentialControllerReportsTheSameInstruments) {
   EXPECT_EQ(tracer.recorded(), admitted + rejected + 1);
 
   admission::update_utilization_gauges(registry, "sequential", ctl);
+  const auto snapshot = registry.snapshot();
   const auto* active =
-      registry.snapshot().find("ubac_admission_active_flows",
-                               {{"controller", "sequential"}});
+      snapshot.find("ubac_admission_active_flows",
+                    {{"controller", "sequential"}});
   ASSERT_NE(active, nullptr);
   EXPECT_EQ(active->value, static_cast<double>(ctl.active_flows()));
 }
@@ -699,8 +865,8 @@ TEST(SimTelemetry, DeliveredCounterAndPeriodicSamples) {
   sim.attach_telemetry(config);
   const auto results = sim.run(1.0);
 
-  const auto* delivered =
-      registry.snapshot().find("ubac_sim_packets_delivered_total");
+  const auto snapshot = registry.snapshot();
+  const auto* delivered = snapshot.find("ubac_sim_packets_delivered_total");
   ASSERT_NE(delivered, nullptr);
   EXPECT_EQ(delivered->value,
             static_cast<double>(results.packets_delivered));
