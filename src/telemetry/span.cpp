@@ -12,12 +12,6 @@ std::atomic<SpanRecorder*> SpanRecorder::g_active_{nullptr};
 
 namespace {
 
-std::size_t round_up_pow2(std::size_t n) {
-  std::size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
-}
-
 // util::ThreadPool cannot depend on telemetry (layering), so worker tasks
 // are wrapped through these function-pointer hooks instead.
 void* pool_task_begin() {
@@ -40,9 +34,7 @@ std::string fmt_us(double us) {
 }  // namespace
 
 SpanRecorder::SpanRecorder(std::size_t capacity)
-    : capacity_(round_up_pow2(capacity == 0 ? 1 : capacity)),
-      slots_(std::make_unique<Slot[]>(capacity_)),
-      epoch_ns_(now_ns()) {
+    : ring_(capacity), epoch_ns_(now_ns()) {
   static std::atomic<std::uint64_t> next_generation{1};
   generation_ = next_generation.fetch_add(1, std::memory_order_relaxed);
 }
@@ -116,49 +108,7 @@ void SpanRecorder::end() {
   ev.duration_ns = end_ns - info.start_ns;
   ev.arg_key = info.arg_key;
   ev.arg_value = info.arg_value;
-  record(ev);
-}
-
-void SpanRecorder::record(const SpanEvent& ev) noexcept {
-  const std::uint64_t seq = head_.fetch_add(1, std::memory_order_acq_rel);
-  Slot& slot = slots_[seq & (capacity_ - 1)];
-  // Per-slot seqlock with writer exclusion, as in EventTracer::record():
-  // stamp = 2 * (seq + 1) once published, odd while a writer owns the
-  // slot. A lapped writer drops its stale span; a newer writer waits out
-  // an older mid-copy, so the newest seq's payload quiesces in place.
-  const std::uint64_t published = 2 * (seq + 1);
-  std::uint64_t cur = slot.stamp.load(std::memory_order_relaxed);
-  for (;;) {
-    if (cur >= published) return;  // lapped: a newer span owns this slot
-    if (cur & 1) {
-      cur = slot.stamp.load(std::memory_order_relaxed);
-      continue;
-    }
-    if (slot.stamp.compare_exchange_weak(cur, published | 1,
-                                         std::memory_order_acq_rel,
-                                         std::memory_order_relaxed))
-      break;
-  }
-  slot.ev = ev;
-  slot.ev.seq = seq;
-  slot.stamp.store(published, std::memory_order_release);
-}
-
-std::vector<SpanEvent> SpanRecorder::snapshot() const {
-  const std::uint64_t head = head_.load(std::memory_order_acquire);
-  const std::uint64_t n = head < capacity_ ? head : capacity_;
-  std::vector<SpanEvent> events;
-  events.reserve(n);
-  for (std::uint64_t seq = head - n; seq < head; ++seq) {
-    const Slot& slot = slots_[seq & (capacity_ - 1)];
-    const std::uint64_t published = 2 * (seq + 1);
-    if (slot.stamp.load(std::memory_order_acquire) != published)
-      continue;  // overwritten or mid-write
-    SpanEvent ev = slot.ev;
-    if (slot.stamp.load(std::memory_order_acquire) != published) continue;
-    events.push_back(ev);
-  }
-  return events;
+  ring_.append(ev);
 }
 
 std::vector<OpenSpanInfo> SpanRecorder::open_spans() const {

@@ -4,10 +4,10 @@
 /// \brief Low-overhead span tracing for the configuration pipeline.
 ///
 /// A SpanRecorder captures nested wall-clock spans (name, category, thread,
-/// start, duration, one optional numeric argument) into a bounded
-/// power-of-two ring, the same claim-with-one-fetch_add / seqlock-publish
-/// scheme as EventTracer, so recording is safe from pool workers and the
-/// admission hot path alike. Tracing is *runtime-gated*: code is
+/// start, duration, one optional numeric argument) into a TraceRing
+/// (trace_ring.hpp), the same buffered, seqlock-published ring EventTracer
+/// uses, so recording is safe from pool workers and the admission hot path
+/// alike. Tracing is *runtime-gated*: code is
 /// instrumented with UBAC_SPAN(...), whose disabled path is a single
 /// relaxed atomic load and branch (no recorder installed), measured to keep
 /// bench_analysis_perf within noise of the uninstrumented build.
@@ -32,6 +32,7 @@
 #include <vector>
 
 #include "telemetry/event_trace.hpp"
+#include "telemetry/trace_ring.hpp"
 
 namespace ubac::telemetry {
 
@@ -44,7 +45,7 @@ struct SpanEvent {
   std::int64_t duration_ns = 0;
   const char* arg_key = nullptr;  ///< optional numeric argument
   double arg_value = 0.0;
-  std::uint64_t seq = 0;  ///< claim order (filled by record)
+  std::uint64_t seq = 0;  ///< ring order, filled when published
 };
 
 /// A span still in progress on some thread (flight-recorder view).
@@ -96,13 +97,12 @@ class SpanRecorder {
 
   // -- inspection --------------------------------------------------------
 
-  std::size_t capacity() const noexcept { return capacity_; }
+  std::size_t capacity() const noexcept { return ring_.capacity(); }
   /// Completed spans recorded, total (ring keeps the last capacity()).
-  std::uint64_t recorded() const noexcept {
-    return head_.load(std::memory_order_acquire);
-  }
-  /// Retained completed spans, oldest first.
-  std::vector<SpanEvent> snapshot() const;
+  /// Flushes pending spans.
+  std::uint64_t recorded() const noexcept { return ring_.recorded(); }
+  /// Retained completed spans, oldest first. Flushes pending spans.
+  std::vector<SpanEvent> snapshot() const { return ring_.snapshot(); }
   /// Spans currently open across all threads (best effort under churn;
   /// exact at quiescence). Ordered by (thread, depth).
   std::vector<OpenSpanInfo> open_spans() const;
@@ -112,13 +112,6 @@ class SpanRecorder {
   static std::int64_t now_ns() noexcept { return EventTracer::now_ns(); }
 
  private:
-  struct Slot {
-    /// 2 * (seq + 1) once published; odd while a writer owns the slot
-    /// (serializes the rare lapped-writer collision); 0 while unwritten.
-    std::atomic<std::uint64_t> stamp{0};
-    SpanEvent ev;
-  };
-
   /// Per-thread open-span stack. The owning thread pushes/pops under
   /// `mutex`; open_spans() takes the same mutex, so the flight-recorder
   /// view is race-free (the mutex is uncontended in steady state).
@@ -130,13 +123,10 @@ class SpanRecorder {
   };
 
   ThreadState& thread_state();
-  void record(const SpanEvent& ev) noexcept;
 
   static std::atomic<SpanRecorder*> g_active_;
 
-  std::size_t capacity_;
-  std::unique_ptr<Slot[]> slots_;
-  std::atomic<std::uint64_t> head_{0};
+  TraceRing<SpanEvent> ring_;
   std::int64_t epoch_ns_;  ///< construction time; exporter time zero
   /// Distinguishes recorders that reuse a freed recorder's address, so the
   /// per-thread state cache never dereferences stale pointers.

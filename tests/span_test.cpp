@@ -136,6 +136,100 @@ TEST(SpanRecorder, ThreadPoolTasksAreTraced) {
   EXPECT_EQ(pool_spans, 8u);
 }
 
+// Span names per writer thread: a span's name, its thread lane and the
+// writer index encoded in its argument must all agree, so a snapshot that
+// copied a slot while a writer overwrote it shows up as a mixed span.
+const char* const kWriterNames[] = {"writer 0", "writer 1", "writer 2",
+                                    "writer 3"};
+
+int writer_of(const SpanEvent& span) {
+  for (int w = 0; w < 4; ++w)
+    if (std::string(span.name) == kWriterNames[w]) return w;
+  return -1;
+}
+
+TEST(SpanRecorder, SnapshotsDuringWritesReturnWholeSpans) {
+  SpanRecorder recorder(64);  // small, so writers lap the reader often
+  constexpr int kWriters = 2;
+  constexpr int kPerWriter = 20'000;
+  std::atomic<bool> reading{false};
+  std::atomic<int> writing{kWriters};
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      while (!reading.load()) std::this_thread::yield();
+      for (int i = 0; i < kPerWriter; ++i) {
+        recorder.begin(kWriterNames[w], "test", "i",
+                       static_cast<double>(w * kPerWriter + i));
+        recorder.end();
+      }
+      writing.fetch_sub(1);
+    });
+
+  std::size_t snapshots = 0;
+  std::size_t checked = 0;
+  std::uint32_t lane[kWriters] = {~0u, ~0u};
+  reading.store(true);
+  while (writing.load() > 0) {
+    const auto spans = recorder.snapshot();
+    ++snapshots;
+    for (std::size_t k = 0; k < spans.size(); ++k) {
+      const SpanEvent& span = spans[k];
+      // No ASSERT here: returning early would leave the writers joinable.
+      if (k > 0) {
+        EXPECT_GT(span.seq, spans[k - 1].seq);
+      }
+      const int w = writer_of(span);
+      if (w < 0) {
+        ADD_FAILURE() << "span name torn: " << span.name;
+        continue;
+      }
+      EXPECT_STREQ(span.category, "test");
+      EXPECT_STREQ(span.arg_key, "i");
+      EXPECT_EQ(static_cast<int>(span.arg_value) / kPerWriter, w);
+      EXPECT_GE(span.duration_ns, 0);
+      if (lane[w] == ~0u) lane[w] = span.thread;
+      EXPECT_EQ(span.thread, lane[w]);
+      ++checked;
+    }
+  }
+  for (auto& t : writers) t.join();
+  EXPECT_GT(snapshots, 0u);
+  EXPECT_GT(checked, 0u);
+  EXPECT_EQ(recorder.recorded(),
+            static_cast<std::uint64_t>(kWriters) * kPerWriter);
+}
+
+TEST(SpanRecorder, QuiescentSnapshotIsExactAfterConcurrentWriters) {
+  SpanRecorder recorder(8192);
+  constexpr int kWriters = 4;
+  constexpr int kPerWriter = 1'003;  // not a multiple of any buffer size
+  std::vector<std::thread> writers;
+  for (int w = 0; w < kWriters; ++w)
+    writers.emplace_back([&, w] {
+      for (int i = 0; i < kPerWriter; ++i) {
+        recorder.begin(kWriterNames[w], "test", "i", i);
+        recorder.end();
+      }
+    });
+  for (auto& t : writers) t.join();
+
+  // No explicit flush: recorded() and snapshot() see every span.
+  EXPECT_EQ(recorder.recorded(),
+            static_cast<std::uint64_t>(kWriters) * kPerWriter);
+  const auto spans = recorder.snapshot();
+  ASSERT_EQ(spans.size(), static_cast<std::size_t>(kWriters) * kPerWriter);
+  int next[kWriters] = {};
+  for (std::size_t k = 0; k < spans.size(); ++k) {
+    EXPECT_EQ(spans[k].seq, k);  // dense
+    const int w = writer_of(spans[k]);
+    ASSERT_GE(w, 0);
+    // Each thread's spans keep their order.
+    EXPECT_EQ(spans[k].arg_value, next[w]++);
+  }
+  for (int w = 0; w < kWriters; ++w) EXPECT_EQ(next[w], kPerWriter);
+}
+
 TEST(ChromeTraceWriter, WritesLoadableTraceEventJson) {
   SpanRecorder recorder(64);
   {

@@ -287,38 +287,6 @@ TEST(EventTracer, SamplingKeepsRoughlyTheRequestedFraction) {
   EXPECT_NEAR(static_cast<double>(kept) / 20'000.0, 0.25, 0.03);
 }
 
-TEST(EventTracer, JsonAndCsvCarryTheEvents) {
-  EventTracer tracer(8, 1.0);
-  TraceEvent ev;
-  ev.kind = TraceEventKind::kReject;
-  ev.flow_id = 42;
-  ev.class_index = 1;
-  ev.src = 3;
-  ev.dst = 7;
-  ev.blocking_hop = 2;
-  ev.utilization = 0.875;
-  ev.reason = "utilization-exceeded";
-  ev.timestamp_ns = 123;
-  tracer.record(ev);
-  const std::string json = tracer.to_json();
-  EXPECT_NE(json.find("\"reject\""), std::string::npos);
-  EXPECT_NE(json.find("utilization-exceeded"), std::string::npos);
-  EXPECT_NE(json.find("42"), std::string::npos);
-
-  const std::string path =
-      ::testing::TempDir() + "/ubac_trace_test.csv";
-  {
-    util::CsvWriter csv(path);
-    tracer.write_csv(csv);
-  }
-  std::ifstream in(path);
-  std::stringstream text;
-  text << in.rdbuf();
-  EXPECT_NE(text.str().find("reject"), std::string::npos);
-  EXPECT_NE(text.str().find("0.875"), std::string::npos);
-  std::remove(path.c_str());
-}
-
 // Writers that stop mid-buffer: recorded() and snapshot() flush the
 // pending events themselves, so nothing written is missing and the
 // sequence numbers are dense.
@@ -799,7 +767,9 @@ TEST(SolverTelemetry, FixedPointRecordsIterationsAndOutcome) {
 // ratio is printed for the record.
 TEST(ControllerTelemetry, OverheadOnTheHotPathIsBounded) {
   Scenario s;
-  constexpr std::size_t kOps = 150'000;
+  // ~0.15 s per timed run on a 4-vCPU Xeon VM: runs of ~20 ms spread the
+  // ratio too widely to bound anything.
+  constexpr std::size_t kOps = 1'500'000;
   constexpr int kReps = 5;
 
   const auto churn = [&](admission::AdmissionController& ctl) {
